@@ -19,7 +19,6 @@ from .errors import (
     NotATree,
     NotAtom,
     NotCoreVertex,
-    NotDisjoint,
     NotInternalSupport,
     NotSTree,
     NotSupported,
@@ -34,28 +33,19 @@ from .errors import (
     VertexNotFound,
 )
 from .tree import (
-    Forest,
     Tree,
     VertexVector,
-    in_out,
-    lift,
     parse_tree,
-    restrict,
     tree_from_json,
     tree_to_edge_text,
     tree_to_json,
 )
 from .exact import (
-    KernelBasis,
     OracleReport,
-    RationalMatrix,
-    adjacency_matrix,
     brute_force,
     column_space_vectors,
     full_support_vector,
     in_adjacency_kernel,
-    kernel,
-    rank,
     span_equal,
     tree_kernel,
     tree_rank,

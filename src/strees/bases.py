@@ -26,19 +26,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import exact
-from .decomposition import (
-    AtomSet,
-    NullDecomposition,
-    atom_set,
-    classify,
-    decompose,
-    support_core,
-)
+from .decomposition import atom_set, classify, decompose, support_core
 from .errors import NotAtom, SpanMismatch, TooSmall, ValidationFailed
-from .tree import Tree, VertexVector
+from .tree import Tree, VertexVector, components
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +98,6 @@ def grow_basic_subtree(
     atom: Tree,
     seed: int,
     rule: str = "ascending",
-    _classes: tuple[set[int], set[int]] | None = None,
     _within: frozenset[int] | None = None,
 ) -> BasicSubtree:
     """Grow a basic subtree of an atom from a seed vertex.
@@ -117,16 +109,12 @@ def grow_basic_subtree(
     instead prefers a fresh neighbor adjacent to a not-yet-adjoined core
     (ties by id).
     """
-    if _classes is None:
-        cls = classify(atom)
-        if not cls.is_atom:
-            raise NotAtom("basic subtrees only grow inside atoms")
-        if atom.order < 3:
-            raise TooSmall("growing needs an atom with at least 3 vertices")
-        sc = support_core(atom)
-        supp, core = set(sc.support), set(sc.core)
-    else:
-        supp, core = _classes
+    if not classify(atom).is_atom:
+        raise NotAtom("basic subtrees only grow inside atoms")
+    if atom.order < 3:
+        raise TooSmall("growing needs an atom with at least 3 vertices")
+    sc = support_core(atom)
+    supp, core = set(sc.support), set(sc.core)
     avail = _within if _within is not None else frozenset(atom.vertices)
     if seed not in avail:
         raise ValidationFailed(f"seed {seed} outside the working set")
@@ -187,7 +175,7 @@ def grow_basic_subtree(
     adj = {v: tuple(w for w in atom.adj[v] if w in b) for v in sorted(b)}
     tree = Tree._trusted(tuple(sorted(b)), adj)
     _check_basic_shape(tree, atom, supp, core)
-    if _classes is None and not classify(tree).is_basic:
+    if not classify(tree).is_basic:
         raise ValidationFailed("grown subtree is not basic")
     return BasicSubtree(tree=tree, host=atom, pendant=_pendant_of(tree, supp))
 
@@ -214,19 +202,19 @@ def marker_rows_csv(fb: ForestBasis) -> str:
     return "\n".join(lines) + "\n"
 
 
-def forest_basis(atom: Tree, _sc=None) -> ForestBasis:
+def forest_basis(atom: Tree) -> ForestBasis:
     """The full signed null-space basis of one atom.
 
     Emits support - core basic subtrees by seeding, pendant swapping,
     branch grafting, and recursion into the remaining components. Every
     emitted vector is validated against the atom's kernel equations; the
-    final family must span the kernel exactly.
+    final family must have the kernel's dimension and span it exactly, so
+    it is a basis.
     """
-    if _sc is None:
-        if not classify(atom).is_atom:
-            raise NotAtom("null-space bases are built per atom")
-        _sc = support_core(atom)
-    supp, core = set(_sc.support), set(_sc.core)
+    if not classify(atom).is_atom:
+        raise NotAtom("null-space bases are built per atom")
+    sc = support_core(atom)
+    supp, core = set(sc.support), set(sc.core)
     cols = atom.vertices
     col_pos = {v: i for i, v in enumerate(cols)}
 
@@ -273,9 +261,7 @@ def forest_basis(atom: Tree, _sc=None) -> ForestBasis:
 
         # (a) seed a basic subtree at the smallest supported vertex
         seed = min(v for v in h if v in supp)
-        seeded = grow_basic_subtree(
-            atom, seed, _classes=(supp, core), _within=h
-        )
+        seeded = grow_basic_subtree(atom, seed, _within=h)
         seed_row = {
             v: (-1 if v in core else 1)
             for v in seeded.tree.vertices
@@ -340,25 +326,10 @@ def forest_basis(atom: Tree, _sc=None) -> ForestBasis:
             round_used.add(v)
 
         # (d)-(g) recurse into what is left, towing a seed branch along
-        leftover = set(h) - round_used
-        comps: list[set[int]] = []
-        seen: set[int] = set()
-        for v in sorted(leftover):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for w in atom.adj[stack.pop()]:
-                    if w in leftover and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(comp)
-        for comp in comps:
+        for comp in components(atom.adj, h - round_used):
             boundary = [
                 (v, w)
-                for v in sorted(comp)
+                for v in comp.vertices
                 for w in atom.adj[v]
                 if w in h and w not in comp
             ]
@@ -373,14 +344,18 @@ def forest_basis(atom: Tree, _sc=None) -> ForestBasis:
                 )
             x = min(seeded.tree.adj[out])
             branch = seeded.tree.subtree_toward(x, out)
-            threads.append(frozenset(comp | set(branch.vertices)))
+            threads.append(frozenset(comp.vertices + branch.vertices))
 
     expect = len(supp) - len(core)
     if len(vectors) != expect:
         raise ValidationFailed(
             f"emitted {len(vectors)} basics, expected support - core = {expect}"
         )
-    kernel_vectors = list(exact.tree_kernel(atom))
+    kernel_vectors = exact.tree_kernel(atom)
+    if len(vectors) != len(kernel_vectors):
+        raise ValidationFailed(
+            f"emitted {len(vectors)} basics, atom kernel dimension is {len(kernel_vectors)}"
+        )
     if not exact.span_equal(vectors, kernel_vectors):
         raise SpanMismatch("atom basis does not span the kernel")
     return ForestBasis(
@@ -401,13 +376,11 @@ class RangeBasis:
     roles: tuple[str, ...]  # "core_unit" | "bouquet" | "unit"
 
 
-def atom_range_basis(atom: Tree, _sc=None) -> RangeBasis:
+def atom_range_basis(atom: Tree) -> RangeBasis:
     """Range basis of one atom: unit plus bouquet indicator per core vertex."""
-    if _sc is None:
-        if not classify(atom).is_atom:
-            raise NotAtom("range bases are built per atom")
-        _sc = support_core(atom)
-    sc = _sc
+    if not classify(atom).is_atom:
+        raise NotAtom("range bases are built per atom")
+    sc = support_core(atom)
     supp = set(sc.support)
     vectors: list[VertexVector] = []
     roles: list[str] = []
@@ -435,64 +408,50 @@ def _order_key(x: VertexVector) -> tuple:
     return (sup[0], sup, tuple(x.entries[v] for v in sup))
 
 
-def tree_null_basis(
-    t: Tree,
-    _dec: NullDecomposition | None = None,
-    _ats: AtomSet | None = None,
-    _kernel=None,
-) -> tuple[VertexVector, ...]:
+def tree_null_basis(t: Tree) -> tuple[VertexVector, ...]:
     """Signed basis of the whole tree's null space, atom by atom.
 
     Exactly nullity vectors with entries in {-1, 0, 1}, each satisfying the
-    kernel equations, together spanning the kernel; ordered by smallest
-    supported vertex.
+    kernel equations, ordered by smallest supported vertex. forest_basis
+    proves each atom's family a basis of that atom's kernel; the atoms are
+    vertex-disjoint, so the lifted families stay independent, and with the
+    count equal to the nullity they form a basis of the tree's kernel.
     """
-    ats = atom_set(t, _dec=_dec) if _ats is None else _ats
     out: list[VertexVector] = []
-    for a, sc in zip(ats.atoms, ats.atom_support_cores):
-        fb = forest_basis(a, _sc=sc)
-        for x in fb.vectors:
+    for a in atom_set(t).atoms:
+        for x in forest_basis(a).vectors:
             out.append(VertexVector(t.vertices, dict(x.entries)))
     out.sort(key=_order_key)
     vecs = tuple(out)
-    kernel_vectors = list(exact.tree_kernel(t) if _kernel is None else _kernel)
-    if len(vecs) != len(kernel_vectors):
+    nullity = len(exact.tree_kernel(t))
+    if len(vecs) != nullity:
         raise ValidationFailed(
-            f"null basis has {len(vecs)} vectors, kernel dimension is {len(kernel_vectors)}"
+            f"null basis has {len(vecs)} vectors, kernel dimension is {nullity}"
         )
     for x in vecs:
         if not exact.in_adjacency_kernel(t, x):
             raise ValidationFailed("lifted null vector fails the kernel equations")
-    if vecs and not exact.span_equal(list(vecs), kernel_vectors):
-        raise SpanMismatch("null basis does not span the kernel")
     return vecs
 
 
-def tree_range_basis(
-    t: Tree,
-    _dec: NullDecomposition | None = None,
-    _ats: AtomSet | None = None,
-    _rank: int | None = None,
-) -> RangeBasis:
+def tree_range_basis(t: Tree) -> RangeBasis:
     """Signed spanning basis of the whole tree's column space.
 
     Unit vectors on every nonsingular-part vertex, plus each atom's range
     basis, lifted; exactly rank vectors, verified to span the column space.
     """
-    dec = decompose(t) if _dec is None else _dec
-    ats = atom_set(t, _dec=dec) if _ats is None else _ats
     pairs: list[tuple[VertexVector, str]] = []
-    for part in dec.nonsingular_parts:
+    for part in decompose(t).nonsingular_parts:
         for v in part.vertices:
             pairs.append((VertexVector.unit(t.vertices, v), "unit"))
-    for a, sc in zip(ats.atoms, ats.atom_support_cores):
-        rb = atom_range_basis(a, _sc=sc)
+    for a in atom_set(t).atoms:
+        rb = atom_range_basis(a)
         for x, role in zip(rb.vectors, rb.roles):
             pairs.append((VertexVector(t.vertices, dict(x.entries)), role))
     pairs.sort(key=lambda p: _order_key(p[0]))
     vectors = tuple(p[0] for p in pairs)
     roles = tuple(p[1] for p in pairs)
-    r = exact.tree_rank(t) if _rank is None else _rank
+    r = exact.tree_rank(t)
     if len(vectors) != r:
         raise ValidationFailed(
             f"range basis has {len(vectors)} vectors, rank is {r}"

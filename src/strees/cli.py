@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import exact
@@ -26,7 +27,6 @@ from .decomposition import (
     support_core,
 )
 from .errors import DomainError, StreesError, UsageError, VerificationError
-from .fixtures import FIXTURE_NAMES, fixture_tree
 from .generators import enumerate_trees, random_s_tree, random_tree
 from .ops import CoalescencePlan, s_coalescence, stellare
 from .tree import (
@@ -47,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and then reused."""
     p = _Parser(prog="strees", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -139,7 +141,7 @@ def _run_decompose(args) -> str:
     if args.format == "json":
         return _json_out(decomposition_to_json(dec))
     if args.format == "dot":
-        return render_dot(t, dec, atom_set(t, _dec=dec))
+        return render_dot(t, dec, atom_set(t))
     lines = [
         "support: " + " ".join(map(str, dec.support)),
         "core: " + " ".join(map(str, dec.core)),
@@ -222,8 +224,8 @@ def _run_invariants(args) -> str:
 def _run_classify(args) -> str:
     t = _read_tree(args)
     kern = exact.tree_kernel(t)
-    sc = support_core(t, _kernel=kern)
-    cls = classify(t, _kernel=kern)
+    sc = support_core(t)
+    cls = classify(t)
     obj = {
         "order": t.order,
         "rank": t.order - len(kern),
@@ -292,11 +294,11 @@ def _run_verify(args) -> tuple[str, bool]:
         for r in report.results:
             rows.append((r.name, r.ok, r.detail))
         ran = True
-    if args.fixtures or not (ran or args.exhaustive_n):
+    if args.fixtures or not (ran or args.exhaustive_n is not None):
         for r in fixture_checks():
             rows.append((r.name, r.ok, r.detail))
         ran = True
-    if args.exhaustive_n:
+    if args.exhaustive_n is not None:
         res = sweep(args.exhaustive_n)
         rows.append(
             (
@@ -358,9 +360,8 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (try --help)")
         if args.command == "verify":

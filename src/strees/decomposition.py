@@ -11,11 +11,10 @@ Deleting core-core edges inside support parts yields the atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import exact, matching
 from .errors import FormulaMismatch, NotCoreVertex
-from .tree import Edge, Tree, VertexVector
+from .tree import Edge, Tree, components, per_tree
 
 
 @dataclass(frozen=True)
@@ -32,11 +31,10 @@ class SupportCore:
         return len(self.core)
 
 
-def support_core(t: Tree, _kernel: Sequence[VertexVector] | None = None) -> SupportCore:
+def support_core(t: Tree) -> SupportCore:
     """Support and core from an exact kernel basis."""
-    vecs = exact.tree_kernel(t) if _kernel is None else _kernel
     supp: set[int] = set()
-    for x in vecs:
+    for x in exact.tree_kernel(t):
         supp.update(x.entries)
     core = {w for v in supp for w in t.adj[v]} - supp
     return SupportCore(tuple(sorted(supp)), tuple(sorted(core)))
@@ -44,7 +42,6 @@ def support_core(t: Tree, _kernel: Sequence[VertexVector] | None = None) -> Supp
 
 @dataclass(frozen=True, eq=False)
 class NullDecomposition:
-    tree: Tree
     support: tuple[int, ...]
     core: tuple[int, ...]
     support_parts: tuple[Tree, ...]
@@ -57,8 +54,9 @@ class NullDecomposition:
         return sum(p.order for p in self.nonsingular_parts)
 
 
-def decompose(t: Tree, _kernel: Sequence[VertexVector] | None = None) -> NullDecomposition:
-    sc = support_core(t, _kernel)
+@per_tree
+def decompose(t: Tree) -> NullDecomposition:
+    sc = support_core(t)
     supp = set(sc.support)
     closed = supp | set(sc.core)
     s_parts = t.components_within(closed) if closed else []
@@ -75,7 +73,6 @@ def decompose(t: Tree, _kernel: Sequence[VertexVector] | None = None) -> NullDec
         for p in s_parts
     )
     return NullDecomposition(
-        tree=t,
         support=sc.support,
         core=sc.core,
         support_parts=tuple(s_parts),
@@ -87,16 +84,16 @@ def decompose(t: Tree, _kernel: Sequence[VertexVector] | None = None) -> NullDec
 
 @dataclass(frozen=True, eq=False)
 class AtomSet:
-    tree: Tree
     atoms: tuple[Tree, ...]
     bond_edges: tuple[Edge, ...]
     atom_support_cores: tuple[SupportCore, ...]
     max_core_degrees: tuple[int, ...]  # per atom: largest degree of a core vertex
 
 
-def atom_set(t: Tree, _dec: NullDecomposition | None = None) -> AtomSet:
+@per_tree
+def atom_set(t: Tree) -> AtomSet:
     """Atoms of every support part: pieces left after cutting core-core edges."""
-    dec = decompose(t) if _dec is None else _dec
+    dec = decompose(t)
     supp = set(dec.support)
     core = set(dec.core)
     atoms: list[Tree] = []
@@ -112,21 +109,7 @@ def atom_set(t: Tree, _dec: NullDecomposition | None = None) -> AtomSet:
             v: tuple(w for w in part.adj[v] if (min(v, w), max(v, w)) not in cut)
             for v in part.vertices
         }
-        seen: set[int] = set()
-        for v in part.vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for w in keep_adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            verts = tuple(sorted(comp))
-            adj = {x: tuple(w for w in keep_adj[x] if w in comp) for x in verts}
-            atoms.append(Tree._trusted(verts, adj))
+        atoms.extend(components(keep_adj, part.vertices))
     atoms.sort(key=lambda a: a.vertices[0])
     classes = tuple(
         SupportCore(
@@ -140,7 +123,6 @@ def atom_set(t: Tree, _dec: NullDecomposition | None = None) -> AtomSet:
         for a, cls in zip(atoms, classes)
     )
     return AtomSet(
-        tree=t,
         atoms=tuple(atoms),
         bond_edges=tuple(sorted(bonds)),
         atom_support_cores=classes,
@@ -166,14 +148,13 @@ class Classification:
     max_core_degree: int
 
 
-def classify(t: Tree, _kernel: Sequence[VertexVector] | None = None) -> Classification:
-    vecs = exact.tree_kernel(t) if _kernel is None else _kernel
-    sc = support_core(t, vecs)
+def classify(t: Tree) -> Classification:
+    sc = support_core(t)
     supp = set(sc.support)
     core = set(sc.core)
     closed = supp | core
     is_s = len(closed) == t.order
-    is_n = len(vecs) == 0
+    is_n = not exact.tree_kernel(t)
     no_bond = not any(u in core and w in core for u, w in t.edges())
     is_atom = is_s and no_bond
     mcd = max((t.degree(v) for v in core), default=0)
@@ -209,9 +190,8 @@ def invariant_report(t: Tree) -> InvariantReport:
     Raises FormulaMismatch if any identity fails; a failure here means a bug,
     not a property of the input.
     """
-    vecs = exact.tree_kernel(t)
-    dec = decompose(t, _kernel=vecs)
-    nullity = len(vecs)
+    dec = decompose(t)
+    nullity = len(exact.tree_kernel(t))
     rank = t.order - nullity
     nu, m_count = matching.matching_number_and_count(t)
     alpha = matching.independence_number(t)
@@ -226,7 +206,7 @@ def invariant_report(t: Tree) -> InvariantReport:
         ("independence_plus_matching", alpha + nu == t.order),
         ("nonsingular_vertices_even", n_count % 2 == 0),
     ]
-    ats = atom_set(t, _dec=dec)
+    ats = atom_set(t)
     prod = 1
     for a in ats.atoms:
         prod *= matching.count_maximum_matchings(a)

@@ -42,10 +42,6 @@ class DomainMismatch(DomainError):
     pass
 
 
-class NotDisjoint(DomainError):
-    pass
-
-
 # exact linear algebra
 class EmptyBasis(DomainError):
     pass

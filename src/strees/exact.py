@@ -18,45 +18,9 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatch, EmptyBasis, TooLarge
-from .tree import Tree, VertexVector
+from .tree import Tree, VertexVector, per_tree
 
 Row = dict[int, int]
-
-
-@dataclass(frozen=True, eq=False)
-class RationalMatrix:
-    """Sparse exact matrix with labeled rows and columns."""
-
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-    rows: tuple[dict[int, Fraction | int], ...]
-
-    def entry(self, i: int, j: int) -> Fraction | int:
-        return self.rows[i].get(self.col_labels[j], 0)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_labels), len(self.col_labels))
-
-    def dense(self) -> list[list[Fraction | int]]:
-        return [[r.get(c, 0) for c in self.col_labels] for r in self.rows]
-
-
-@dataclass(frozen=True, eq=False)
-class KernelBasis:
-    """Basis of the null space, one primitive integer vector per free column."""
-
-    domain: tuple[int, ...]
-    vectors: tuple[VertexVector, ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-def adjacency_matrix(t: Tree) -> RationalMatrix:
-    labels = t.vertices
-    rows = tuple({w: 1 for w in t.adj[v]} for v in labels)
-    return RationalMatrix(labels, labels, rows)
 
 
 def _integer_rows(rows: Iterable[dict[int, Fraction | int]]) -> list[Row]:
@@ -146,19 +110,7 @@ def _kernel_rows(rows: list[Row], col_labels: Sequence[int]) -> list[dict[int, i
     return basis
 
 
-def kernel(m: RationalMatrix) -> KernelBasis:
-    rows = _integer_rows(m.rows)
-    vecs = tuple(
-        VertexVector(m.col_labels, b) for b in _kernel_rows(rows, m.col_labels)
-    )
-    return KernelBasis(m.col_labels, vecs)
-
-
-def rank(m: RationalMatrix) -> int:
-    _, r = _eliminate(_integer_rows(m.rows))
-    return r
-
-
+@per_tree
 def tree_kernel(t: Tree) -> tuple[VertexVector, ...]:
     """Kernel basis of the adjacency matrix, as vectors over the tree."""
     rows = [{w: 1 for w in t.adj[v]} for v in t.vertices]
@@ -168,9 +120,7 @@ def tree_kernel(t: Tree) -> tuple[VertexVector, ...]:
 
 
 def tree_rank(t: Tree) -> int:
-    rows = [{w: 1 for w in t.adj[v]} for v in t.vertices]
-    _, r = _eliminate(rows)
-    return r
+    return t.order - len(tree_kernel(t))
 
 
 def in_adjacency_kernel(t: Tree, x: VertexVector) -> bool:

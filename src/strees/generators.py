@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .decomposition import classify, decompose, support_core
 from .errors import BadCode, FormulaMismatch, TooSmall

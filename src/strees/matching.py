@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FormulaMismatch
-from .tree import Tree
+from .tree import Tree, components
 
 
 def _postorder(adj: dict[int, tuple[int, ...]], root: int) -> tuple[list[int], dict[int, int]]:
@@ -90,23 +90,7 @@ def matching_number_and_count(t: Tree) -> tuple[int, int]:
 
 def matching_number_within(t: Tree, keep: Iterable[int]) -> int:
     """Matching number of the induced subgraph on `keep` (a forest)."""
-    ks = set(keep)
-    total = 0
-    seen: set[int] = set()
-    for v in sorted(ks):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in t.adj[stack.pop()]:
-                if w in ks and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        adj = {x: tuple(w for w in t.adj[x] if w in comp) for x in comp}
-        total += _matching_dp(adj, min(comp))[0]
-    return total
+    return sum(_matching_dp(c.adj, c.vertices[0])[0] for c in components(t.adj, keep))
 
 
 def matching_number_excluding(t: Tree, v: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import exact, matching
-from .decomposition import classify, decompose, support_core
+from .decomposition import classify, support_core
 from .errors import (
     BadArity,
     FormulaMismatch,
@@ -101,7 +101,7 @@ def stellare_invariants(t: Tree, ks: Sequence[int]) -> StellareReport:
     n = t.order
     total = sum(ks)
     vecs = exact.tree_kernel(big)
-    sc = support_core(big, vecs)
+    sc = support_core(big)
     nu, m_count = matching.matching_number_and_count(big)
     alpha = matching.independence_number(big)
     gamma = matching.domination_number(big)
@@ -261,11 +261,10 @@ def coalescence_invariants(plan: CoalescencePlan) -> CoalescenceReport:
     part_nullities = [len(exact.tree_kernel(part)) for part, _ in plan.parts]
     part_alphas = [matching.independence_number(part) for part, _ in plan.parts]
 
-    vecs = exact.tree_kernel(big)
-    sc = support_core(big, vecs)
+    sc = support_core(big)
     nu, m_count = matching.matching_number_and_count(big)
     alpha = matching.independence_number(big)
-    nullity = len(vecs)
+    nullity = len(exact.tree_kernel(big))
     rank = big.order - nullity
 
     expect_core = sorted(

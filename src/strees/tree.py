@@ -9,23 +9,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import wraps
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import (
-    DomainMismatch,
-    NotATree,
-    NotDisjoint,
-    ParseError,
-    VertexNotFound,
-)
+from .errors import DomainMismatch, NotATree, ParseError, VertexNotFound
 
 Edge = tuple[int, int]
+T = TypeVar("T")
 
 
 class Tree:
     """An unrooted tree: sorted vertex tuple plus sorted adjacency lists."""
 
-    __slots__ = ("vertices", "adj", "_edges", "_index")
+    __slots__ = ("vertices", "adj", "_edges", "_index", "_memo")
 
     def __init__(self, edges: Iterable[Edge], vertices: Iterable[int] = ()) -> None:
         vs: set[int] = set(vertices)
@@ -69,6 +65,7 @@ class Tree:
         self.adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in self.vertices}
         self._edges: tuple[Edge, ...] | None = None
         self._index: dict[int, int] | None = None
+        self._memo: dict[str, object] = {}  # see per_tree
 
     @classmethod
     def _trusted(cls, vertices: tuple[int, ...], adj: dict[int, tuple[int, ...]]) -> "Tree":
@@ -78,6 +75,7 @@ class Tree:
         t.adj = adj
         t._edges = None
         t._index = None
+        t._memo = {}
         return t
 
     # -- basic queries ----------------------------------------------------
@@ -185,56 +183,52 @@ class Tree:
 
     def components_within(self, keep: Iterable[int]) -> list["Tree"]:
         """Connected components of the induced subgraph, sorted by least vertex."""
-        ks = set(keep)
-        out: list[Tree] = []
-        seen: set[int] = set()
-        for v in sorted(ks):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for w in self.adj[stack.pop()]:
-                    if w in ks and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            verts = tuple(sorted(comp))
-            adj = {x: tuple(w for w in self.adj[x] if w in comp) for x in verts}
-            out.append(Tree._trusted(verts, adj))
-        return out
+        return components(self.adj, keep)
 
 
-class Forest:
-    """Pairwise vertex-disjoint trees, kept sorted by least vertex id."""
+def components(adj: Mapping[int, Sequence[int]], keep: Iterable[int]) -> list[Tree]:
+    """Connected components of the forest `adj` induced on `keep`.
 
-    __slots__ = ("trees",)
+    Each component comes back as a tree on its own vertices; the list is
+    sorted by least vertex.
+    """
+    ks = keep if isinstance(keep, (set, frozenset)) else set(keep)
+    out: list[Tree] = []
+    seen: set[int] = set()
+    for v in sorted(ks):
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in ks and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        verts = tuple(sorted(comp))
+        out.append(Tree._trusted(verts, {x: tuple(w for w in adj[x] if w in comp) for x in verts}))
+    return out
 
-    def __init__(self, trees: Iterable[Tree]) -> None:
-        ts = sorted(trees, key=lambda t: t.vertices[0])
-        seen: set[int] = set()
-        for t in ts:
-            overlap = seen.intersection(t.vertices)
-            if overlap:
-                raise NotDisjoint(f"vertex {min(overlap)} appears in two components")
-            seen.update(t.vertices)
-        self.trees: tuple[Tree, ...] = tuple(ts)
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(v for t in self.trees for v in t.vertices))
+def per_tree(fn: Callable[[Tree], T]) -> Callable[[Tree], T]:
+    """Compute fn(t) once per Tree object and keep it on the tree.
 
-    def __iter__(self) -> Iterator[Tree]:
-        return iter(self.trees)
+    Trees are immutable, so structure derived from one never goes stale.
+    Every caller gets the same object, so callers must not mutate it. A
+    cached value must not refer back to its own tree: the cycle would keep
+    both alive until the garbage collector runs.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
 
-    def __len__(self) -> int:
-        return len(self.trees)
+    @wraps(fn)
+    def cached(t: Tree) -> T:
+        memo = t._memo
+        if key not in memo:
+            memo[key] = fn(t)
+        return memo[key]  # type: ignore[return-value]
 
-    def component_of(self, v: int) -> Tree:
-        for t in self.trees:
-            if v in t:
-                return t
-        raise VertexNotFound(f"vertex {v} not in forest")
+    return cached
 
 
 Rational = Fraction | int
@@ -312,59 +306,6 @@ class VertexVector:
         return VertexVector(self.domain, {v: c * x for v, x in self.entries.items()})
 
     __rmul__ = __mul__
-
-
-def restrict(x: VertexVector, s: Tree | Forest) -> VertexVector:
-    """Restriction of x to the vertices of s; s must sit inside x's domain."""
-    sub = s.vertices if isinstance(s, (Tree, Forest)) else tuple(sorted(s))
-    dset = x.domain_set()
-    missing = [v for v in sub if v not in dset]
-    if missing:
-        raise DomainMismatch(f"vertex {missing[0]} of the target is outside the vector's domain")
-    return VertexVector(sub, {v: c for v, c in x.entries.items() if v in set(sub)})
-
-
-def lift(x: VertexVector, g: Tree | Forest) -> VertexVector:
-    """Zero-extension of x to the larger structure g."""
-    big = g.vertices if isinstance(g, (Tree, Forest)) else tuple(sorted(g))
-    bset = set(big)
-    missing = [v for v in x.domain if v not in bset]
-    if missing:
-        raise DomainMismatch(f"vertex {missing[0]} of the vector's domain is outside the target")
-    return VertexVector(big, dict(x.entries))
-
-
-def in_out(t: Tree, u_set: Iterable[int], v_set: Iterable[int]) -> tuple[int, int]:
-    """Entry point of U as seen from V, and the first vertex on the way out.
-
-    Returns (entry, out): `entry` is the vertex of U closest to V, `out` is
-    the neighbor of `entry` outside U on the path toward V. Distances are
-    measured in t; ties resolve to the smallest vertex id.
-    """
-    us = set(u_set)
-    vs = set(v_set)
-    if not us or not vs:
-        raise VertexNotFound("empty vertex set")
-    for v in us | vs:
-        if v not in t:
-            raise VertexNotFound(f"vertex {v} not in tree")
-    if us & vs:
-        raise NotDisjoint(f"sets share vertex {min(us & vs)}")
-    # multi-source BFS from V
-    dist: dict[int, int] = {v: 0 for v in vs}
-    frontier = sorted(vs)
-    while frontier:
-        nxt: list[int] = []
-        for x in frontier:
-            for w in t.adj[x]:
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    nxt.append(w)
-        frontier = sorted(nxt)
-    entry = min(us, key=lambda v: (dist[v], v))
-    # any neighbor strictly closer to V is automatically outside U
-    out = min(w for w in t.adj[entry] if dist[w] == dist[entry] - 1)
-    return entry, out
 
 
 # -- parsing and serialization -------------------------------------------

@@ -1,7 +1,8 @@
 """Cross-checking battery: every structural theorem against exact oracles.
 
-check_tree computes each shared artifact (kernel, decomposition, atoms,
-matching DP, brute force) once per tree and evaluates the full list of
+check_tree computes the matching DP and the brute force once per tree, and
+reads the kernel, decomposition and atoms from the tree's own cache; it
+evaluates the full list of
 identities on it. sweep runs the battery over every labeled tree up to a
 given order. fixture_checks reproduces the shipped fixtures' numbers.
 All comparisons are exact; no tolerances anywhere.
@@ -15,7 +16,7 @@ from typing import Callable, Iterable
 from . import exact
 from .bases import tree_null_basis, tree_range_basis
 from .decomposition import atom_set, classify, decompose, support_core
-from .errors import StreesError
+from .errors import StreesError, TooSmall
 from .fixtures import fixture_tree
 from .generators import enumerate_trees
 from .matching import (
@@ -59,11 +60,10 @@ def check_tree(
     def check(name: str, ok: bool, detail: str = "") -> None:
         out.append(CheckResult(name, ok, detail if not ok else ""))
 
-    kern = exact.tree_kernel(t)
-    nullity = len(kern)
+    nullity = len(exact.tree_kernel(t))
     rank = t.order - nullity
-    dec = decompose(t, _kernel=kern)
-    ats = atom_set(t, _dec=dec)
+    dec = decompose(t)
+    ats = atom_set(t)
     supp = len(dec.support)
     core = len(dec.core)
     nu, m_count = matching_number_and_count(t)
@@ -154,7 +154,7 @@ def check_tree(
 
     if with_bases:
         try:
-            nb = tree_null_basis(t, _dec=dec, _ats=ats, _kernel=kern)
+            nb = tree_null_basis(t)
             signed_ok = all(
                 all(v in (-1, 1) for v in x.entries.values()) for x in nb
             )
@@ -163,7 +163,7 @@ def check_tree(
         except StreesError as e:
             check("null_basis", False, str(e))
         try:
-            tree_range_basis(t, _dec=dec, _ats=ats, _rank=rank)
+            tree_range_basis(t)
             check("range_basis", True)
         except StreesError as e:
             check("range_basis", False, str(e))
@@ -188,6 +188,8 @@ def sweep(
     max_failures: int = 20,
 ) -> SweepResult:
     """Run check_tree over every labeled tree with 1 <= order <= max_n."""
+    if max_n < 1:
+        raise TooSmall(f"a sweep needs max_n >= 1, got {max_n}")
     total = failed = 0
     failures: list[tuple[int, int, tuple[str, ...]]] = []
     for n in range(1, max_n + 1):

@@ -162,6 +162,13 @@ class TestVerifyCommand:
         obj = json.loads(out)
         assert obj["ok"] is True
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_exhaustive_below_one_is_usage_error(self, capsys, k):
+        code, out, err = run(capsys, "verify", "--exhaustive-n", k)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
 
 class TestErrorPaths:
     def test_bad_input_exit_1(self, capsys, tmp_path):

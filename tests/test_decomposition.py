@@ -186,7 +186,7 @@ class TestInvariantReport:
 class TestDot:
     def test_roles_encoded(self, tree18, tree6):
         dec = decompose(tree18)
-        dot = render_dot(tree18, dec, atom_set(tree18, _dec=dec))
+        dot = render_dot(tree18, dec, atom_set(tree18))
         assert dot.startswith("graph tree {")
         assert "style=filled" in dot  # supported vertices
         assert "doublecircle" in dot  # core vertices

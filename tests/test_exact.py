@@ -8,21 +8,6 @@ from strees.fixtures import path_tree
 from strees.tree import Tree, VertexVector
 
 
-class TestAdjacency:
-    def test_single_vertex_zero_matrix(self):
-        m = exact.adjacency_matrix(Tree([], vertices=[3]))
-        assert m.shape == (1, 1)
-        assert m.entry(0, 0) == 0
-        assert m.row_labels == (3,) and m.col_labels == (3,)
-
-    def test_symmetric_01(self, tree8):
-        m = exact.adjacency_matrix(tree8)
-        for i, u in enumerate(m.row_labels):
-            for j, v in enumerate(m.col_labels):
-                assert m.entry(i, j) == m.entry(j, i)
-                assert m.entry(i, j) == (1 if tree8.has_edge(u, v) else 0)
-
-
 class TestKernel:
     def test_tree8_nullity_and_span(self, tree8):
         kern = exact.tree_kernel(tree8)
@@ -99,6 +84,14 @@ class TestSpan:
         ]
         assert exact.rank_of_vectors(vecs) == 2
 
+    def test_fractions_cleared(self):
+        dom = (0, 1)
+        half = VertexVector(dom, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        ones = VertexVector(dom, {0: 1, 1: 1})
+        assert exact.rank_of_vectors([half, ones]) == 1
+        assert exact.span_equal([half], [ones])
+        assert not exact.span_equal([half], [VertexVector.unit(dom, 0)])
+
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             exact.span_equal(
@@ -158,20 +151,3 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             exact.brute_force(big)
         assert exact.brute_force(big, limit=17).matching_number == 8
-
-
-class TestMatrixApi:
-    def test_rank_kernel_consistency(self, tree18):
-        m = exact.adjacency_matrix(tree18)
-        assert exact.rank(m) + len(exact.kernel(m).vectors) == tree18.order
-
-    def test_kernel_of_rational_matrix(self):
-        m = exact.RationalMatrix(
-            row_labels=(0, 1),
-            col_labels=(0, 1),
-            rows=({0: Fraction(1, 2), 1: Fraction(1, 2)}, {0: 1, 1: 1}),
-        )
-        basis = exact.kernel(m)
-        assert len(basis.vectors) == 1
-        x = basis.vectors[0]
-        assert x.entries[0] == -x.entries[1]

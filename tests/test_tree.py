@@ -3,18 +3,13 @@ import pytest
 from strees.errors import (
     DomainMismatch,
     NotATree,
-    NotDisjoint,
     ParseError,
     VertexNotFound,
 )
 from strees.tree import (
-    Forest,
     Tree,
     VertexVector,
-    in_out,
-    lift,
     parse_tree,
-    restrict,
     tree_from_json,
     tree_to_edge_text,
     tree_to_json,
@@ -93,21 +88,6 @@ class TestTreeQueries:
         assert tuple(c.vertices for c in comps) == ((2,), (3,), (6, 7, 8))
 
 
-class TestForest:
-    def test_disjointness(self):
-        a = Tree([(1, 2)])
-        b = Tree([(2, 3)])
-        with pytest.raises(NotDisjoint):
-            Forest([a, b])
-
-    def test_sorted_parts(self):
-        a = Tree([(5, 6)])
-        b = Tree([(1, 2)])
-        f = Forest([a, b])
-        assert tuple(p.vertices for p in f.trees) == ((1, 2), (5, 6))
-        assert f.vertices == (1, 2, 5, 6)
-
-
 class TestVertexVector:
     def test_zero_entries_dropped(self):
         x = VertexVector((1, 2, 3), {1: 1, 2: 0})
@@ -132,36 +112,10 @@ class TestVertexVector:
         x = VertexVector.indicator((1, 2, 3), (1, 3))
         assert x.entries == {1: 1, 3: 1}
 
-    def test_restrict_lift(self, tree18):
-        sub = tree18.induced_subtree({9, 10, 11, 12})
-        x = VertexVector(sub.vertices, {9: 1, 10: 2, 11: 3, 12: 4})
-        lifted = lift(x, tree18)
-        assert lifted.entries == {9: 1, 10: 2, 11: 3, 12: 4}
-        assert set(lifted.domain) == set(tree18.vertices)
-        back = restrict(lifted, sub)
-        assert back.entries == x.entries
-        with pytest.raises(DomainMismatch):
-            lift(VertexVector((99,), {99: 1}), tree18)
-
     def test_equality_hash(self):
         a = VertexVector((1, 2), {1: 1})
         b = VertexVector((1, 2), {1: 1})
         assert a == b and hash(a) == hash(b)
-
-
-class TestInOut:
-    def test_pinned_pair(self, tree8):
-        # from the far branch back toward vertex 2: enters at 1
-        entry, out = in_out(tree8, {5, 6, 7, 8}, {2})
-        assert (entry, out) == (5, 1)
-
-    def test_second_pinned_pair(self, tree18):
-        entry, out = in_out(tree18, {4, 5, 6, 7, 8}, {13})
-        assert (entry, out) == (4, 14)
-
-    def test_overlap_rejected(self, tree8):
-        with pytest.raises(NotDisjoint):
-            in_out(tree8, {1, 2}, {2, 3})
 
 
 class TestParsing:

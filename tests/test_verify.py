@@ -1,3 +1,6 @@
+import pytest
+
+from strees.errors import TooSmall
 from strees.fixtures import path_tree
 from strees.tree import Tree
 from strees.verify import check_tree, fixture_checks, sweep
@@ -40,6 +43,10 @@ class TestSweep:
         assert res.failed == 0
         assert res.ok
         assert res.failures == ()
+
+    def test_rejects_order_below_one(self):
+        with pytest.raises(TooSmall):
+            sweep(0)
 
     def test_progress_callback(self):
         seen = []
