@@ -46,6 +46,7 @@ from .exact import (
     column_space_vectors,
     full_support_vector,
     in_adjacency_kernel,
+    in_column_space,
     span_equal,
     tree_kernel,
     tree_rank,

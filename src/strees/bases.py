@@ -18,8 +18,10 @@ one basic, every seed row sums to +1 and every other row is a single +1.
 Range: a core vertex contributes its unit vector and the indicator of its
 supported neighbors; nonsingular parts contribute plain unit vectors.
 
-Every emitted vector is validated exactly; failures raise ValidationFailed
-or SpanMismatch and are never swallowed.
+Each atom's bases are proven by count, membership (for the range,
+orthogonality to the kernel, since A is symmetric) and independence; the
+whole-tree bases need only count and membership, as atoms are disjoint.
+Failures raise ValidationFailed or SpanMismatch and are never swallowed.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class BasicSubtree:
     pendant: int
 
 
-def _check_basic_shape(tree: Tree, host: Tree, supp: set[int], core: set[int]) -> None:
-    """Structural conditions that make the signed vector a kernel vector."""
+def _basic(tree: Tree, host: Tree, supp: set[int], core: set[int]) -> BasicSubtree:
+    """Prove a subtree of the host atom basic and pick its supported pendant."""
     verts = set(tree.vertices)
     for v in tree.vertices:
         if v in core:
@@ -60,6 +62,12 @@ def _check_basic_shape(tree: Tree, host: Tree, supp: set[int], core: set[int]) -
                 )
         else:
             raise ValidationFailed(f"vertex {v} is neither support nor core")
+    if not classify(tree).is_basic:
+        raise ValidationFailed("subtree fails the basic classification")
+    for v in tree.vertices:
+        if v in supp and tree.degree(v) <= 1:
+            return BasicSubtree(tree=tree, host=host, pendant=v)
+    raise ValidationFailed("basic subtree has no supported pendant")
 
 
 def basic_vector(b: BasicSubtree) -> VertexVector:
@@ -85,13 +93,6 @@ def basic_vector(b: BasicSubtree) -> VertexVector:
     if not exact.in_adjacency_kernel(b.host, x):
         raise ValidationFailed("signed vector violates the kernel equations")
     return x
-
-
-def _pendant_of(tree: Tree, supp: set[int]) -> int:
-    for v in tree.vertices:
-        if v in supp and tree.degree(v) <= 1:
-            return v
-    raise ValidationFailed("basic subtree has no supported pendant")
 
 
 def grow_basic_subtree(
@@ -173,11 +174,7 @@ def grow_basic_subtree(
         b.add(fresh)
 
     adj = {v: tuple(w for w in atom.adj[v] if w in b) for v in sorted(b)}
-    tree = Tree._trusted(tuple(sorted(b)), adj)
-    _check_basic_shape(tree, atom, supp, core)
-    if not classify(tree).is_basic:
-        raise ValidationFailed("grown subtree is not basic")
-    return BasicSubtree(tree=tree, host=atom, pendant=_pendant_of(tree, supp))
+    return _basic(Tree._trusted(tuple(sorted(b)), adj), atom, supp, core)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +205,8 @@ def forest_basis(atom: Tree) -> ForestBasis:
     Emits support - core basic subtrees by seeding, pendant swapping,
     branch grafting, and recursion into the remaining components. Every
     emitted vector is validated against the atom's kernel equations; the
-    final family must have the kernel's dimension and span it exactly, so
-    it is a basis.
+    final family must have the kernel's dimension and be independent (one
+    elimination of the family itself), so it is a basis.
     """
     if not classify(atom).is_atom:
         raise NotAtom("null-space bases are built per atom")
@@ -235,19 +232,13 @@ def forest_basis(atom: Tree) -> ForestBasis:
     vectors: list[VertexVector] = []
     rows: list[tuple[int, ...]] = []
 
-    def emit(tree: Tree, row_entries: dict[int, int]) -> BasicSubtree:
-        _check_basic_shape(tree, atom, supp, core)
-        if not classify(tree).is_basic:
-            raise ValidationFailed("emitted subtree fails the basic classification")
-        b = BasicSubtree(tree=tree, host=atom, pendant=_pendant_of(tree, supp))
-        vec = basic_vector(b)  # validates the kernel equations
+    def emit(b: BasicSubtree, row_entries: dict[int, int]) -> None:
         basics.append(b)
-        vectors.append(vec)
+        vectors.append(basic_vector(b))  # validates the kernel equations
         row = [0] * len(cols)
         for v, val in row_entries.items():
             row[col_pos[v]] = val
         rows.append(tuple(row))
-        return b
 
     threads: deque[frozenset[int]] = deque([frozenset(atom.vertices)])
     while threads:
@@ -267,7 +258,7 @@ def forest_basis(atom: Tree) -> ForestBasis:
             for v in seeded.tree.vertices
             if v not in used
         }
-        emit(seeded.tree, seed_row)
+        emit(seeded, seed_row)
         used.update(seeded.tree.vertices)
         round_used: set[int] = set(seeded.tree.vertices)
         current = seeded.tree
@@ -297,11 +288,11 @@ def forest_basis(atom: Tree) -> ForestBasis:
             v, leaf, c = swap
             edges = [e for e in current.edges() if leaf not in e]
             edges.append((min(v, c), max(v, c)))
-            nxt = Tree(edges)
+            nxt = _basic(Tree(edges), atom, supp, core)
             emit(nxt, {v: 1})
             used.add(v)
             round_used.add(v)
-            current = nxt
+            current = nxt.tree
 
         # (c) grafts: an uncovered pendant whose neighbor is a core vertex of
         # the seed gets that core plus one branch of the seed
@@ -320,8 +311,7 @@ def forest_basis(atom: Tree) -> ForestBasis:
             w = min(seeded.tree.adj[x])
             branch = seeded.tree.subtree_toward(x, w)
             edges = list(branch.edges()) + [(min(x, w), max(x, w)), (min(x, v), max(x, v))]
-            nxt = Tree(edges)
-            emit(nxt, {v: 1})
+            emit(_basic(Tree(edges), atom, supp, core), {v: 1})
             used.add(v)
             round_used.add(v)
 
@@ -351,13 +341,9 @@ def forest_basis(atom: Tree) -> ForestBasis:
         raise ValidationFailed(
             f"emitted {len(vectors)} basics, expected support - core = {expect}"
         )
-    kernel_vectors = exact.tree_kernel(atom)
-    if len(vectors) != len(kernel_vectors):
-        raise ValidationFailed(
-            f"emitted {len(vectors)} basics, atom kernel dimension is {len(kernel_vectors)}"
-        )
-    if not exact.span_equal(vectors, kernel_vectors):
-        raise SpanMismatch("atom basis does not span the kernel")
+    nullity = len(exact.tree_kernel(atom))
+    if len(vectors) != nullity or exact.rank_of_vectors(vectors) != nullity:
+        raise SpanMismatch(f"{len(vectors)} basics do not have rank {nullity}")
     return ForestBasis(
         host=atom,
         basics=tuple(basics),
@@ -377,7 +363,10 @@ class RangeBasis:
 
 
 def atom_range_basis(atom: Tree) -> RangeBasis:
-    """Range basis of one atom: unit plus bouquet indicator per core vertex."""
+    """Range basis of one atom: unit plus bouquet indicator per core vertex.
+
+    Proven by count = rank, orthogonality to the kernel and independence.
+    """
     if not classify(atom).is_atom:
         raise NotAtom("range bases are built per atom")
     sc = support_core(atom)
@@ -393,13 +382,11 @@ def atom_range_basis(atom: Tree) -> RangeBasis:
             )
         )
         roles.append("bouquet")
-    cols = list(exact.column_space_vectors(atom))
-    if vectors:
-        ok = exact.span_equal(vectors, cols)
-    else:
-        ok = exact.rank_of_vectors(cols) == 0
-    if not ok:
-        raise SpanMismatch("atom range basis does not span the column space")
+    if not exact.in_column_space(atom, vectors):
+        raise SpanMismatch("atom range vector leaves the column space")
+    r = exact.tree_rank(atom)
+    if len(vectors) != r or exact.rank_of_vectors(vectors) != r:
+        raise SpanMismatch(f"{len(vectors)} atom range vectors do not have rank {r}")
     return RangeBasis(tree=atom, vectors=tuple(vectors), roles=tuple(roles))
 
 
@@ -438,7 +425,8 @@ def tree_range_basis(t: Tree) -> RangeBasis:
     """Signed spanning basis of the whole tree's column space.
 
     Unit vectors on every nonsingular-part vertex, plus each atom's range
-    basis, lifted; exactly rank vectors, verified to span the column space.
+    basis, lifted: each atom's family is independent and the parts are
+    disjoint, so rank vectors orthogonal to the kernel form a basis.
     """
     pairs: list[tuple[VertexVector, str]] = []
     for part in decompose(t).nonsingular_parts:
@@ -456,9 +444,8 @@ def tree_range_basis(t: Tree) -> RangeBasis:
         raise ValidationFailed(
             f"range basis has {len(vectors)} vectors, rank is {r}"
         )
-    if vectors:
-        if not exact.span_equal(list(vectors), list(exact.column_space_vectors(t))):
-            raise SpanMismatch("range basis does not span the column space")
+    if not exact.in_column_space(t, vectors):
+        raise SpanMismatch("range vector leaves the column space")
     return RangeBasis(tree=t, vectors=vectors, roles=roles)
 
 

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals, plus the brute-force oracle.
 
 Everything here is exact: integer arithmetic in the elimination core
-(fraction-free, divisions justified by the Sylvester determinant identity),
-Fractions only at the edges. No floats anywhere in the package.
+(fraction-free, each update cancelling the pivot by gcd multipliers, with
+no division), Fractions only at the edges. No floats anywhere in the package.
 
 Matrices are sparse: each row is a dict {column label: value}. Pivots are
 chosen by a cheapest-row heuristic (fewest nonzeros, then smallest leading
@@ -49,7 +49,6 @@ def _eliminate(rows: list[Row]) -> tuple[list[tuple[int, Row]], int]:
     """
     active = [r for r in rows if r]
     pivots: list[tuple[int, Row]] = []
-    prev = 1
     while active:
         best = min(range(len(active)), key=lambda i: (len(active[i]), min(active[i]), i))
         prow = active.pop(best)
@@ -61,17 +60,18 @@ def _eliminate(rows: list[Row]) -> tuple[list[tuple[int, Row]], int]:
             if x is None:
                 nxt.append(r)
                 continue
+            g = gcd(piv, x)
+            a, b = piv // g, x // g
             new: Row = {}
             for j in r.keys() | prow.keys():
                 if j == pc:
                     continue
-                val = piv * r.get(j, 0) - x * prow.get(j, 0)
+                val = a * r.get(j, 0) - b * prow.get(j, 0)
                 if val:
-                    new[j] = val // prev
+                    new[j] = val
             if new:
                 nxt.append(new)
         active = nxt
-        prev = piv
         pivots.append((pc, prow))
     return pivots, len(pivots)
 
@@ -124,11 +124,35 @@ def tree_rank(t: Tree) -> int:
 
 
 def in_adjacency_kernel(t: Tree, x: VertexVector) -> bool:
-    """Exact check that A(t) x = 0, without building a matrix."""
+    """Exact check that A(t) x = 0, summed from supp x into the rows next to it."""
     if x.domain != t.vertices:
         raise DomainMismatch("vector is not indexed by this tree")
-    for v in t.vertices:
-        if sum(x.entries.get(w, 0) for w in t.adj[v]) != 0:
+    rows: dict[int, Fraction | int] = {}
+    for v, c in x.entries.items():
+        for w in t.adj[v]:
+            rows[w] = rows.get(w, 0) + c
+    return not any(rows.values())
+
+
+def in_column_space(t: Tree, vectors: Sequence[VertexVector]) -> bool:
+    """Exact check that every vector lies in the column space of A(t).
+
+    A(t) is symmetric, so its column space is the orthogonal complement of
+    its kernel: a vector belongs exactly when it is orthogonal to every
+    vector of the tree's kernel basis.
+    """
+    at: dict[int, list[tuple[int, int]]] = {}
+    for i, k in enumerate(tree_kernel(t)):
+        for v, c in k.entries.items():
+            at.setdefault(v, []).append((i, c))
+    for x in vectors:
+        if x.domain != t.vertices:
+            raise DomainMismatch("vector is not indexed by this tree")
+        dots: dict[int, Fraction | int] = {}
+        for v, c in x.entries.items():
+            for i, ci in at.get(v, ()):
+                dots[i] = dots.get(i, 0) + c * ci
+        if any(dots.values()):
             return False
     return True
 

@@ -2,10 +2,11 @@
 
 check_tree computes the matching DP and the brute force once per tree, and
 reads the kernel, decomposition and atoms from the tree's own cache; it
-evaluates the full list of
-identities on it. sweep runs the battery over every labeled tree up to a
-given order. fixture_checks reproduces the shipped fixtures' numbers.
-All comparisons are exact; no tolerances anywhere.
+evaluates the full list of identities on it, and checks both signed bases
+by span equality against the eliminated kernel and the adjacency columns,
+independently of the builders' own proofs. sweep runs the battery over
+every labeled tree up to a given order. fixture_checks reproduces the
+shipped fixtures' numbers. All comparisons are exact; no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -159,12 +160,13 @@ def check_tree(
                 all(v in (-1, 1) for v in x.entries.values()) for x in nb
             )
             check("null_basis_signed_entries", signed_ok)
-            check("null_basis", True)
+            check("null_basis", exact.span_equal(nb, exact.tree_kernel(t)))
         except StreesError as e:
             check("null_basis", False, str(e))
         try:
-            tree_range_basis(t)
-            check("range_basis", True)
+            rb = tree_range_basis(t)
+            cols = exact.column_space_vectors(t)
+            check("range_basis", exact.span_equal(rb.vectors, cols))
         except StreesError as e:
             check("range_basis", False, str(e))
 
@@ -213,10 +215,7 @@ def _sig(x: VertexVector) -> tuple[tuple[int, int], ...]:
 
 def _span_check(t: Tree, got: Iterable[VertexVector], want: list[dict[int, int]]) -> bool:
     expected = [VertexVector(t.vertices, d) for d in want]
-    vectors = list(got)
-    if not vectors and not expected:
-        return True
-    return exact.span_equal(vectors, expected)
+    return exact.span_equal(list(got), expected)
 
 
 def fixture_checks() -> tuple[CheckResult, ...]:

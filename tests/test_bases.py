@@ -1,6 +1,6 @@
 import pytest
 
-from strees import exact
+from strees import bases, exact
 from strees.bases import (
     BasicSubtree,
     atom_range_basis,
@@ -15,6 +15,7 @@ from strees.bases import (
 from strees.decomposition import atom_set
 from strees.errors import NotAtom, TooSmall, ValidationFailed
 from strees.fixtures import path_tree, star_tree
+from strees.generators import random_tree
 from strees.tree import Tree, VertexVector
 
 
@@ -132,6 +133,22 @@ class TestForestBasis:
         for atom in atom_set(tree18).atoms:
             fb = forest_basis(atom)
             assert exact.span_equal(list(fb.vectors), list(exact.tree_kernel(atom)))
+
+    def test_each_basic_classified_once(self, monkeypatch, tree8):
+        calls = []
+        orig = bases.classify
+
+        def counting(t):
+            calls.append(t)
+            return orig(t)
+
+        monkeypatch.setattr(bases, "classify", counting)
+        for atom in (tree8, *atom_set(random_tree(200, 3)).atoms):
+            if atom.order == 1:
+                continue
+            calls.clear()
+            fb = forest_basis(atom)
+            assert sum(t is not atom for t in calls) == len(fb.basics)
 
 
 class TestTreeNullBasis:

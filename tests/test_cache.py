@@ -46,3 +46,25 @@ def test_cached_structure_leaves_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_range_basis_proven_without_span_checks(capsys, monkeypatch):
+    span_calls = []
+    kernel_calls = []
+    orig_span, orig_rows = exact.span_equal, exact._kernel_rows
+
+    def counting_span(a, b):
+        span_calls.append(1)
+        return orig_span(a, b)
+
+    def counting_rows(rows, col_labels):
+        if len(col_labels) == 18:
+            kernel_calls.append(1)
+        return orig_rows(rows, col_labels)
+
+    monkeypatch.setattr(exact, "span_equal", counting_span)
+    monkeypatch.setattr(exact, "_kernel_rows", counting_rows)
+    assert main(["range-basis", fixture_path("tree18"), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert span_calls == []
+    assert len(kernel_calls) == 1

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from strees import exact
 from strees.errors import DomainMismatch, EmptyBasis, TooLarge
@@ -97,6 +99,67 @@ class TestSpan:
             exact.span_equal(
                 [VertexVector((1,), {1: 1})], [VertexVector((2,), {2: 1})]
             )
+
+    def test_rank_without_unit_pivots(self):
+        # pivots other than +-1: a Bareiss division by the previous pivot
+        # truncates on these, since the sparse updates skip rows
+        d4 = (0, 1, 2, 3)
+        f = [{1: 2, 2: 1}, {1: -2, 3: 2}, {0: -2}, {1: -1, 3: 1}]
+        g = [{1: 2, 2: 1}, {1: -2, 3: 2}, {0: 1}, {3: 1}]
+        h = [{1: -3}, {0: -1, 4: -1}, {0: 1, 2: 2}, {0: 2, 1: 2, 2: -1, 3: 3},
+             {0: -1, 1: -1, 3: 1, 4: 2}]
+        f = [VertexVector(d4, e) for e in f]
+        g = [VertexVector(d4, e) for e in g]
+        assert exact.rank_of_vectors(f) == 3
+        assert exact.rank_of_vectors(g) == 4
+        assert not exact.span_equal(g, f)
+        assert exact.rank_of_vectors([VertexVector(range(5), e) for e in h]) == 5
+
+
+def fraction_rank(rows):
+    """Plain Gaussian elimination over Fractions, the reference rank."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                k = rows[i][c] / rows[rank][c]
+                rows[i] = [a - k * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+# mostly-zero entries, so that many rows lack the pivot column at each step
+ENTRY = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))
+
+
+@given(
+    st.integers(min_value=3, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.lists(ENTRY, min_size=n, max_size=n), min_size=3, max_size=8
+        )
+    )
+)
+@settings(max_examples=1000, deadline=None)
+def test_rank_matches_fraction_elimination(rows):
+    vecs = [VertexVector(range(len(rows[0])), dict(enumerate(r))) for r in rows]
+    assert exact.rank_of_vectors(vecs) == fraction_rank(rows)
+
+
+class TestColumnSpace:
+    def test_adjacency_columns_belong(self, tree18):
+        assert exact.in_column_space(tree18, exact.column_space_vectors(tree18))
+
+    def test_unit_on_supported_vertex_rejected(self, tree18):
+        assert not exact.in_column_space(tree18, [VertexVector.unit(tree18.vertices, 2)])
+
+    def test_domain_mismatch(self, tree18):
+        with pytest.raises(DomainMismatch):
+            exact.in_column_space(tree18, [VertexVector((1, 2), {1: 1})])
 
 
 class TestFullSupport:

@@ -7,7 +7,10 @@ from freetrees import canonical_form
 from strees import (
     CoalescencePlan,
     PruferCode,
+    VertexVector,
     classify,
+    column_space_vectors,
+    in_column_space,
     decompose,
     independence_number,
     internal_support,
@@ -28,6 +31,7 @@ from strees import (
     tree_to_edge_text,
     tree_to_json,
 )
+from strees.exact import rank_of_vectors
 
 
 @st.composite
@@ -92,6 +96,18 @@ def test_range_basis_gates(t):
     basis = tree_range_basis(t)
     assert len(basis.vectors) == tree_rank(t)
     assert len(basis.roles) == len(basis.vectors)
+
+
+@given(t=labeled_trees(max_n=20), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_column_space_membership_matches_elimination(t, data):
+    entries = data.draw(
+        st.dictionaries(st.sampled_from(t.vertices), st.integers(-2, 2), max_size=4)
+    )
+    v = VertexVector(t.vertices, entries)
+    cols = list(column_space_vectors(t))
+    expect = rank_of_vectors(cols + [v]) == rank_of_vectors(cols)
+    assert in_column_space(t, [v]) == expect
 
 
 @given(t=labeled_trees())

@@ -1,8 +1,10 @@
 import pytest
 
+from strees import verify
+from strees.bases import RangeBasis
 from strees.errors import TooSmall
 from strees.fixtures import path_tree
-from strees.tree import Tree
+from strees.tree import Tree, VertexVector
 from strees.verify import check_tree, fixture_checks, sweep
 
 
@@ -29,6 +31,14 @@ class TestCheckTree:
         report = check_tree(path_tree(20), brute_limit=16)
         assert report.ok
         assert not any("brute" in r.name for r in report.results)
+
+    def test_range_basis_cross_checked_by_elimination(self, monkeypatch, tree8):
+        # the right count but the wrong span: e2 leaves the column space
+        units = tuple(VertexVector.unit(tree8.vertices, v) for v in (1, 2, 3, 4))
+        fake = RangeBasis(tree=tree8, vectors=units, roles=("unit",) * 4)
+        monkeypatch.setattr(verify, "tree_range_basis", lambda t: fake)
+        report = check_tree(tree8)
+        assert [r.name for r in report.failures] == ["range_basis"]
 
     def test_failure_detail_surfaces(self):
         # a fabricated failing result keeps its detail string
