@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import exact, matching
 from .errors import FormulaMismatch, NotCoreVertex
-from .tree import Edge, Tree, components, per_tree
+from .tree import Edge, Tree, components, per_tree, twin
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,11 @@ def decompose(t: Tree) -> NullDecomposition:
     sc = support_core(t)
     supp = set(sc.support)
     closed = supp | set(sc.core)
-    s_parts = t.components_within(closed) if closed else []
-    n_parts = t.components_within(set(t.vertices) - closed) if len(closed) < t.order else []
+    if len(closed) == t.order:
+        s_parts, n_parts = [twin(t)], []  # one part, with t's kernel already derived
+    else:
+        s_parts = t.components_within(closed) if closed else []
+        n_parts = t.components_within(set(t.vertices) - closed)
     inside = {e for p in s_parts for e in p.edges()} | {
         e for p in n_parts for e in p.edges()
     }

@@ -5,15 +5,21 @@ Everything here is exact: integer arithmetic in the elimination core
 no division), Fractions only at the edges. No floats anywhere in the package.
 
 Matrices are sparse: each row is a dict {column label: value}. Pivots are
-chosen by a cheapest-row heuristic (fewest nonzeros, then smallest leading
-column), which on tree adjacency matrices mirrors leaf stripping and keeps
-fill-in near zero.
+chosen by a cheapest-row rule (fewest nonzeros, then smallest leading
+column, then input position), which on tree adjacency matrices mirrors leaf
+stripping and keeps fill-in near zero. A heap of row keys yields that pivot
+without rescanning the rows, and a column -> rows index names the rows each
+pivot updates, so forward elimination costs about the nonzeros it touches.
+Back-substitution for each free column visits only the pivots its kernel
+vector reaches. Neither changes the pivot order or the arithmetic, so the
+pivots, the rank and every kernel vector are those of the plain rescan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -46,32 +52,75 @@ def _eliminate(rows: list[Row]) -> tuple[list[tuple[int, Row]], int]:
     Returns (pivots, rank) where pivots is the list of (pivot column,
     eliminated row) in elimination order; each returned row is already
     reduced against all earlier pivots. Rows are consumed destructively.
+
+    The pivot is the active row of least (length, least column, input
+    position), the order a rescan of every row would give; the active rows
+    keep their input order, so position breaks ties the same way. It is
+    picked from a heap holding one live entry per row; an update pushes the
+    row's new entry, and superseded entries are skipped when popped. A key
+    holds a lower bound on the row's least column rather than the column
+    itself: an update removes columns or adds ones beyond the pivot column,
+    which is at least the row's least column, so the bound stays valid.
+    It is made exact only when the entry reaches the top, so the row is
+    scanned then, not at every update.
+
+    A column -> row positions index names the rows to update at each pivot.
+    It is lazy: fill-in appends a row to a column's list, and a row whose
+    column has since cancelled is skipped. An update rewrites the row in
+    place, touching only the pivot row's columns unless the multiplier of
+    the row is not 1.
     """
-    active = [r for r in rows if r]
+    active: list[Row | None] = [r for r in rows if r]
+    live: list[tuple[int, int, int] | None] = [
+        (len(r), min(r), i) for i, r in enumerate(active)
+    ]
+    heap = live[:]
+    heapify(heap)
+    index: dict[int, list[int]] = {}
+    for i, r in enumerate(active):
+        for j in r:
+            index.setdefault(j, []).append(i)
     pivots: list[tuple[int, Row]] = []
-    while active:
-        best = min(range(len(active)), key=lambda i: (len(active[i]), min(active[i]), i))
-        prow = active.pop(best)
-        pc = min(prow)  # smallest column of the cheapest row
+    while heap:
+        e = heappop(heap)
+        p = e[2]
+        if live[p] is not e:
+            continue
+        prow = active[p]
+        pc = min(prow)
+        if pc != e[1]:
+            live[p] = e = (e[0], pc, p)
+            heappush(heap, e)
+            continue
+        active[p] = live[p] = None
         piv = prow[pc]
-        nxt: list[Row] = []
-        for r in active:
-            x = r.get(pc)
+        rest = [(j, v) for j, v in prow.items() if j != pc]
+        for i in index[pc]:
+            r = active[i]
+            if r is None:
+                continue
+            x = r.pop(pc, None)
             if x is None:
-                nxt.append(r)
                 continue
             g = gcd(piv, x)
             a, b = piv // g, x // g
-            new: Row = {}
-            for j in r.keys() | prow.keys():
-                if j == pc:
-                    continue
-                val = a * r.get(j, 0) - b * prow.get(j, 0)
-                if val:
-                    new[j] = val
-            if new:
-                nxt.append(new)
-        active = nxt
+            if a != 1:
+                for j in r:
+                    r[j] *= a
+            for j, v in rest:
+                y = r.get(j)
+                if y is None:
+                    r[j] = -b * v
+                    index[j].append(i)
+                elif y == b * v:
+                    del r[j]
+                else:
+                    r[j] = y - b * v
+            if r:
+                live[i] = e = (len(r), live[i][1], i)
+                heappush(heap, e)
+            else:
+                active[i] = live[i] = None
         pivots.append((pc, prow))
     return pivots, len(pivots)
 
@@ -82,18 +131,45 @@ def _kernel_rows(rows: list[Row], col_labels: Sequence[int]) -> list[dict[int, i
     The vector for free column f has a positive entry at f and zeros at every
     other free column, i.e. the reduced-echelon complement up to the positive
     integer scaling that keeps entries integral.
+
+    Back-substitution is sparse. Pivot k's entry of x can be nonzero only
+    if its row holds a column already nonzero in x, and such a column is
+    either f or the pivot column of a later pivot. So a max-heap of pivot
+    positions, seeded from the pivots whose rows hold f and fed from those
+    whose rows hold each new nonzero, visits exactly the pivots that matter,
+    in the same decreasing order as a full sweep. Each dot product runs over
+    the smaller of x and the pivot row.
     """
     pivots, _ = _eliminate(rows)
-    pivot_cols = [pc for pc, _ in pivots]
-    pivot_set = set(pivot_cols)
+    # column -> positions of the pivots whose rows hold it off the pivot,
+    # negated so that heapq, a min-heap, pops the latest pivot first
+    uses: dict[int, list[int]] = {}
+    for k, (pc, prow) in enumerate(pivots):
+        for j in prow:
+            if j != pc:
+                uses.setdefault(j, []).append(-k)
+    pivot_set = {pc for pc, _ in pivots}
     free = [c for c in col_labels if c not in pivot_set]
     basis: list[dict[int, int]] = []
     for f in free:
         x: dict[int, Fraction | int] = {f: 1}
-        for pc, prow in reversed(pivots):
-            s = sum(c * x.get(j, 0) for j, c in prow.items() if j != pc)
+        todo = list(uses.get(f, ()))
+        heapify(todo)
+        last = 1  # no negated position
+        while todo:
+            k = heappop(todo)
+            if k == last:
+                continue
+            last = k
+            pc, prow = pivots[-k]
+            if len(x) < len(prow):
+                s = sum(c * prow[j] for j, c in x.items() if j in prow)
+            else:
+                s = sum(c * x[j] for j, c in prow.items() if j in x)
             if s:
                 x[pc] = Fraction(-s, prow[pc])
+                for k2 in uses.get(pc, ()):
+                    heappush(todo, k2)
         denom = 1
         for c in x.values():
             if isinstance(c, Fraction):
@@ -123,9 +199,14 @@ def tree_rank(t: Tree) -> int:
     return t.order - len(tree_kernel(t))
 
 
+def _same_domain(d: tuple[int, ...], e: tuple[int, ...]) -> bool:
+    """Domain equality, in O(1) for the usual case of one shared tuple."""
+    return d is e or d == e
+
+
 def in_adjacency_kernel(t: Tree, x: VertexVector) -> bool:
     """Exact check that A(t) x = 0, summed from supp x into the rows next to it."""
-    if x.domain != t.vertices:
+    if not _same_domain(x.domain, t.vertices):
         raise DomainMismatch("vector is not indexed by this tree")
     rows: dict[int, Fraction | int] = {}
     for v, c in x.entries.items():
@@ -146,7 +227,7 @@ def in_column_space(t: Tree, vectors: Sequence[VertexVector]) -> bool:
         for v, c in k.entries.items():
             at.setdefault(v, []).append((i, c))
     for x in vectors:
-        if x.domain != t.vertices:
+        if not _same_domain(x.domain, t.vertices):
             raise DomainMismatch("vector is not indexed by this tree")
         dots: dict[int, Fraction | int] = {}
         for v, c in x.entries.items():
@@ -175,14 +256,14 @@ def rank_of_vectors(vectors: Sequence[VertexVector]) -> int:
 
 def span_equal(a: Sequence[VertexVector], b: Sequence[VertexVector]) -> bool:
     """Exact equality of the spans of two vector families over one domain."""
-    doms = {v.domain for v in a} | {v.domain for v in b}
-    if len(doms) > 1:
+    both = [*a, *b]
+    if not all(_same_domain(v.domain, both[0].domain) for v in both):
         raise DomainMismatch("span comparison needs a common domain")
     ra = rank_of_vectors(a)
     rb = rank_of_vectors(b)
     if ra != rb:
         return False
-    _, rab = _eliminate(_vector_rows(list(a) + list(b)))
+    _, rab = _eliminate(_vector_rows(both))
     return rab == ra
 
 
@@ -196,8 +277,7 @@ def full_support_vector(vectors: Sequence[VertexVector]) -> VertexVector:
     vectors = list(vectors)
     if not vectors:
         raise EmptyBasis("no vectors given")
-    doms = {v.domain for v in vectors}
-    if len(doms) > 1:
+    if not all(_same_domain(v.domain, vectors[0].domain) for v in vectors):
         raise DomainMismatch("vectors must share a domain")
     acc = dict(vectors[0].entries)
     for v in vectors[1:]:

@@ -8,6 +8,7 @@ deterministic. Trees are immutable once built.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from functools import wraps
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -231,6 +232,18 @@ def per_tree(fn: Callable[[Tree], T]) -> Callable[[Tree], T]:
     return cached
 
 
+def twin(t: Tree) -> Tree:
+    """A new Tree object equal to t that starts with what t has derived so far.
+
+    A support part spanning its whole tree is such a twin, so its kernel is
+    not eliminated a second time. Cached values never refer back to their
+    own tree, so the twin holds no reference to t and t none to it.
+    """
+    u = Tree._trusted(t.vertices, t.adj)
+    u._memo.update(t._memo)
+    return u
+
+
 Rational = Fraction | int
 
 
@@ -245,10 +258,9 @@ class VertexVector:
 
     def __init__(self, domain: Sequence[int], entries: Mapping[int, Rational]) -> None:
         dom = tuple(domain)
-        dset = set(dom)
         clean: dict[int, Rational] = {}
         for v, c in entries.items():
-            if v not in dset:
+            if not _in_domain(dom, v):
                 raise DomainMismatch(f"vertex {v} outside domain")
             if c != 0:
                 clean[v] = c
@@ -264,7 +276,7 @@ class VertexVector:
         return cls(domain, {v: 1 for v in vs})
 
     def __getitem__(self, v: int) -> Rational:
-        if v not in self.domain_set():
+        if not _in_domain(self.domain, v):
             raise DomainMismatch(f"vertex {v} outside domain")
         return self.entries.get(v, 0)
 
@@ -306,6 +318,19 @@ class VertexVector:
         return VertexVector(self.domain, {v: c * x for v, x in self.entries.items()})
 
     __rmul__ = __mul__
+
+
+def _in_domain(dom: tuple[int, ...], v: int) -> bool:
+    """Whether v is in the domain, in O(log n) when the domain is sorted.
+
+    Domains are sorted vertex tuples, so a binary search finds every member;
+    a miss is confirmed by a scan, which only an unsorted tuple can overturn.
+    """
+    try:
+        i = bisect_left(dom, v)
+    except TypeError:  # v does not compare with vertex ids
+        i = len(dom)
+    return (i < len(dom) and dom[i] == v) or v in dom
 
 
 # -- parsing and serialization -------------------------------------------

@@ -6,8 +6,9 @@ from strees import exact
 from strees.bases import tree_null_basis, tree_range_basis
 from strees.cli import main
 from strees.decomposition import atom_set, decompose, invariant_report
-from strees.fixtures import fixture_path
+from strees.fixtures import fixture_path, star_tree
 from strees.generators import random_tree
+from strees.tree import tree_to_edge_text
 
 
 def test_same_object_per_tree(tree18):
@@ -28,6 +29,25 @@ def test_null_basis_eliminates_whole_tree_once(capsys, monkeypatch):
 
     monkeypatch.setattr(exact, "_kernel_rows", counting)
     assert main(["null-basis", fixture_path("tree18"), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_single_atom_tree_eliminated_once(capsys, monkeypatch, tmp_path):
+    # a star is one atom: the atom is an equal Tree object that must reuse
+    # the whole tree's kernel rather than derive it again
+    star = tmp_path / "star.edges"
+    star.write_text(tree_to_edge_text(star_tree(40)))
+    calls = []
+    orig = exact._kernel_rows
+
+    def counting(rows, col_labels):
+        if len(col_labels) == 41:
+            calls.append(1)
+        return orig(rows, col_labels)
+
+    monkeypatch.setattr(exact, "_kernel_rows", counting)
+    assert main(["null-basis", str(star), "--format", "json"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
 

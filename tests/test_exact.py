@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from strees import exact
 from strees.errors import DomainMismatch, EmptyBasis, TooLarge
 from strees.fixtures import path_tree
+from strees.generators import PruferCode, prufer_decode
 from strees.tree import Tree, VertexVector
 
 
@@ -148,6 +150,108 @@ ENTRY = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))
 def test_rank_matches_fraction_elimination(rows):
     vecs = [VertexVector(range(len(rows[0])), dict(enumerate(r))) for r in rows]
     assert exact.rank_of_vectors(vecs) == fraction_rank(rows)
+
+
+def rescan_eliminate(rows):
+    """The elimination before the heap: rescan every active row per pivot."""
+    active = [r for r in rows if r]
+    pivots = []
+    while active:
+        best = min(range(len(active)), key=lambda i: (len(active[i]), min(active[i]), i))
+        prow = active.pop(best)
+        pc = min(prow)
+        piv = prow[pc]
+        nxt = []
+        for r in active:
+            x = r.get(pc)
+            if x is None:
+                nxt.append(r)
+                continue
+            g = gcd(piv, x)
+            a, b = piv // g, x // g
+            new = {}
+            for j in r.keys() | prow.keys():
+                if j == pc:
+                    continue
+                val = a * r.get(j, 0) - b * prow.get(j, 0)
+                if val:
+                    new[j] = val
+            if new:
+                nxt.append(new)
+        active = nxt
+        pivots.append((pc, prow))
+    return pivots, len(pivots)
+
+
+def sweep_kernel_rows(rows, col_labels):
+    """The kernel before sparse back-substitution: every pivot, every column."""
+    pivots, _ = rescan_eliminate(rows)
+    pivot_set = {pc for pc, _ in pivots}
+    basis = []
+    for f in [c for c in col_labels if c not in pivot_set]:
+        x = {f: 1}
+        for pc, prow in reversed(pivots):
+            s = sum(c * x.get(j, 0) for j, c in prow.items() if j != pc)
+            if s:
+                x[pc] = Fraction(-s, prow[pc])
+        denom = 1
+        for c in x.values():
+            if isinstance(c, Fraction):
+                denom = denom * c.denominator // gcd(denom, c.denominator)
+        ints = {j: int(c * denom) for j, c in x.items() if c}
+        g = 0
+        for c in ints.values():
+            g = gcd(g, abs(c))
+        if g > 1:
+            ints = {j: c // g for j, c in ints.items()}
+        if ints[f] < 0:
+            ints = {j: -c for j, c in ints.items()}
+        basis.append(ints)
+    return basis
+
+
+def assert_same_elimination(rows, cols):
+    copy = lambda: [dict(r) for r in rows]
+    assert exact._eliminate(copy()) == rescan_eliminate(copy())
+    new, ref = exact._kernel_rows(copy(), cols), sweep_kernel_rows(copy(), cols)
+    assert new == ref
+    # same insertion order too, so nothing downstream can tell them apart
+    assert [list(x) for x in new] == [list(x) for x in ref]
+
+
+@st.composite
+def relabeled_trees(draw, max_n=60):
+    """Random labeled trees on random distinct labels, as adjacency rows."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    seq = [draw(st.integers(0, n - 1)) for _ in range(max(0, n - 2))]
+    t = prufer_decode(PruferCode(n, tuple(seq)))
+    labels = draw(st.lists(st.integers(0, 4 * n), min_size=n, max_size=n, unique=True))
+    name = dict(zip(t.vertices, labels))
+    return [{name[w]: 1 for w in t.adj[v]} for v in t.vertices], sorted(labels)
+
+
+@given(relabeled_trees())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_rescan_on_trees(case):
+    rows, cols = case
+    assert_same_elimination(rows, cols)
+
+
+NONZERO = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.dictionaries(st.integers(0, n - 1), NONZERO, max_size=4), max_size=12),
+            st.just(list(range(n))),
+        )
+    )
+)
+@settings(max_examples=1000, deadline=None)
+def test_elimination_matches_rescan_on_sparse_families(case):
+    rows, cols = case
+    assert_same_elimination(rows, cols)
 
 
 class TestColumnSpace:

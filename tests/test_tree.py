@@ -97,6 +97,16 @@ class TestVertexVector:
     def test_domain_enforced(self):
         with pytest.raises(DomainMismatch):
             VertexVector((1, 2), {3: 1})
+        for bad in ("a", None, 1.5):
+            with pytest.raises(DomainMismatch):
+                VertexVector((1, 2), {bad: 1})
+            with pytest.raises(DomainMismatch):
+                VertexVector((1, 2), {})[bad]
+        # an unsorted domain still admits every member and only those
+        x = VertexVector((3, 1, 2), {1: 1, 3: 2})
+        assert x[3] == 2 and x[2] == 0
+        with pytest.raises(DomainMismatch):
+            VertexVector((3, 1, 2), {4: 1})
 
     def test_algebra(self):
         dom = (1, 2, 3)
