@@ -14,14 +14,20 @@ components with a branch of the seed attached. Accounting rows (one per
 emitted basic, columns indexed by atom vertices) witness that the number of
 basics is exactly support - core: each vertex is first covered by exactly
 one basic, every seed row sums to +1 and every other row is a single +1.
+The rows are kept sparse, as {vertex: value}, and expanded on demand.
 
 Range: a core vertex contributes its unit vector and the indicator of its
 supported neighbors; nonsingular parts contribute plain unit vectors.
 
-Each atom's bases are proven by count, membership (for the range,
-orthogonality to the kernel, since A is symmetric) and independence; the
-whole-tree bases need only count and membership, as atoms are disjoint.
-Failures raise ValidationFailed or SpanMismatch and are never swallowed.
+Each atom's bases are proven by count, membership and independence (one
+elimination of the family); the whole-tree bases need only count and
+membership, as atoms are disjoint. The null space's dimension is
+order - 2*nu, from one maximum matching, and its vectors are checked
+against the adjacency equations next to their support, so a null basis is
+built and proven without eliminating any kernel. A range vector's
+membership is orthogonality to the eliminated kernel, since A is
+symmetric. Failures raise ValidationFailed or SpanMismatch and are never
+swallowed.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import exact
+from . import exact, matching
 from .decomposition import atom_set, classify, decompose, support_core
 from .errors import NotAtom, SpanMismatch, TooSmall, ValidationFailed
 from .tree import Tree, VertexVector, components
@@ -185,10 +191,15 @@ class ForestBasis:
     basics: tuple[BasicSubtree, ...]
     vectors: tuple[VertexVector, ...]
     columns: tuple[int, ...]
-    marker_rows: tuple[tuple[int, ...], ...]
+    markers: tuple[dict[int, int], ...]  # per basic, {vertex: marker value}
 
     def __len__(self) -> int:
         return len(self.vectors)
+
+    @property
+    def marker_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The accounting rows, dense over the columns."""
+        return tuple(tuple(m.get(c, 0) for c in self.columns) for m in self.markers)
 
 
 def marker_rows_csv(fb: ForestBasis) -> str:
@@ -205,15 +216,14 @@ def forest_basis(atom: Tree) -> ForestBasis:
     Emits support - core basic subtrees by seeding, pendant swapping,
     branch grafting, and recursion into the remaining components. Every
     emitted vector is validated against the atom's kernel equations; the
-    final family must have the kernel's dimension and be independent (one
-    elimination of the family itself), so it is a basis.
+    final family must have the kernel's dimension, order - 2*nu, and be
+    independent (one elimination of the family itself), so it is a basis.
     """
     if not classify(atom).is_atom:
         raise NotAtom("null-space bases are built per atom")
     sc = support_core(atom)
     supp, core = set(sc.support), set(sc.core)
     cols = atom.vertices
-    col_pos = {v: i for i, v in enumerate(cols)}
 
     if atom.order == 1:
         v = atom.vertices[0]
@@ -224,21 +234,18 @@ def forest_basis(atom: Tree) -> ForestBasis:
             basics=(single,),
             vectors=(vec,),
             columns=cols,
-            marker_rows=((1,),),
+            markers=({v: 1},),
         )
 
     used: set[int] = set()  # vertices already counted by some basic
     basics: list[BasicSubtree] = []
     vectors: list[VertexVector] = []
-    rows: list[tuple[int, ...]] = []
+    markers: list[dict[int, int]] = []
 
-    def emit(b: BasicSubtree, row_entries: dict[int, int]) -> None:
+    def emit(b: BasicSubtree, marker: dict[int, int]) -> None:
         basics.append(b)
         vectors.append(basic_vector(b))  # validates the kernel equations
-        row = [0] * len(cols)
-        for v, val in row_entries.items():
-            row[col_pos[v]] = val
-        rows.append(tuple(row))
+        markers.append(marker)
 
     threads: deque[frozenset[int]] = deque([frozenset(atom.vertices)])
     while threads:
@@ -341,7 +348,7 @@ def forest_basis(atom: Tree) -> ForestBasis:
         raise ValidationFailed(
             f"emitted {len(vectors)} basics, expected support - core = {expect}"
         )
-    nullity = len(exact.tree_kernel(atom))
+    nullity = atom.order - 2 * matching.deficient_set(atom)[1]
     if len(vectors) != nullity or exact.rank_of_vectors(vectors) != nullity:
         raise SpanMismatch(f"{len(vectors)} basics do not have rank {nullity}")
     return ForestBasis(
@@ -349,7 +356,7 @@ def forest_basis(atom: Tree) -> ForestBasis:
         basics=tuple(basics),
         vectors=tuple(vectors),
         columns=cols,
-        marker_rows=tuple(rows),
+        markers=tuple(markers),
     )
 
 
@@ -402,7 +409,8 @@ def tree_null_basis(t: Tree) -> tuple[VertexVector, ...]:
     kernel equations, ordered by smallest supported vertex. forest_basis
     proves each atom's family a basis of that atom's kernel; the atoms are
     vertex-disjoint, so the lifted families stay independent, and with the
-    count equal to the nullity they form a basis of the tree's kernel.
+    count equal to the nullity, order - 2*nu, they form a basis of the
+    tree's kernel.
     """
     out: list[VertexVector] = []
     for a in atom_set(t).atoms:
@@ -410,7 +418,7 @@ def tree_null_basis(t: Tree) -> tuple[VertexVector, ...]:
             out.append(VertexVector(t.vertices, dict(x.entries)))
     out.sort(key=_order_key)
     vecs = tuple(out)
-    nullity = len(exact.tree_kernel(t))
+    nullity = t.order - 2 * matching.deficient_set(t)[1]
     if len(vecs) != nullity:
         raise ValidationFailed(
             f"null basis has {len(vecs)} vectors, kernel dimension is {nullity}"
@@ -428,6 +436,8 @@ def tree_range_basis(t: Tree) -> RangeBasis:
     basis, lifted: each atom's family is independent and the parts are
     disjoint, so rank vectors orthogonal to the kernel form a basis.
     """
+    # eliminate first, so a single atom, a twin of t, starts with the kernel
+    r = exact.tree_rank(t)
     pairs: list[tuple[VertexVector, str]] = []
     for part in decompose(t).nonsingular_parts:
         for v in part.vertices:
@@ -439,7 +449,6 @@ def tree_range_basis(t: Tree) -> RangeBasis:
     pairs.sort(key=lambda p: _order_key(p[0]))
     vectors = tuple(p[0] for p in pairs)
     roles = tuple(p[1] for p in pairs)
-    r = exact.tree_rank(t)
     if len(vectors) != r:
         raise ValidationFailed(
             f"range basis has {len(vectors)} vectors, rank is {r}"

@@ -2,6 +2,9 @@
 
 The support of a tree is the set of vertices where some kernel vector of the
 adjacency matrix is nonzero; the core is the neighborhood of the support.
+In a tree the support is the set of vertices some maximum matching misses,
+so both come from one maximum matching (matching.deficient_set) with no
+linear algebra; check_tree compares them with the eliminated kernel.
 Removing the closed neighborhood of the support splits the tree into
 support parts (the components induced by the closed neighborhood) and
 nonsingular parts (the rest); the leftover edges are connection edges.
@@ -31,13 +34,13 @@ class SupportCore:
         return len(self.core)
 
 
+@per_tree
 def support_core(t: Tree) -> SupportCore:
-    """Support and core from an exact kernel basis."""
-    supp: set[int] = set()
-    for x in exact.tree_kernel(t):
-        supp.update(x.entries)
-    core = {w for v in supp for w in t.adj[v]} - supp
-    return SupportCore(tuple(sorted(supp)), tuple(sorted(core)))
+    """Support (the matching D-set) and core (its neighbors outside it)."""
+    support, _ = matching.deficient_set(t)
+    supp = set(support)
+    core = {w for v in support for w in t.adj[v]} - supp
+    return SupportCore(support, tuple(sorted(core)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +63,7 @@ def decompose(t: Tree) -> NullDecomposition:
     supp = set(sc.support)
     closed = supp | set(sc.core)
     if len(closed) == t.order:
-        s_parts, n_parts = [twin(t)], []  # one part, with t's kernel already derived
+        s_parts, n_parts = [twin(t)], []  # one part, with what t has derived so far
     else:
         s_parts = t.components_within(closed) if closed else []
         n_parts = t.components_within(set(t.vertices) - closed)
@@ -151,13 +154,14 @@ class Classification:
     max_core_degree: int
 
 
+@per_tree
 def classify(t: Tree) -> Classification:
     sc = support_core(t)
     supp = set(sc.support)
     core = set(sc.core)
     closed = supp | core
     is_s = len(closed) == t.order
-    is_n = not exact.tree_kernel(t)
+    is_n = not supp
     no_bond = not any(u in core and w in core for u, w in t.edges())
     is_atom = is_s and no_bond
     mcd = max((t.degree(v) for v in core), default=0)

@@ -3,6 +3,10 @@
 All programs root the tree at its smallest vertex id and run iteratively in
 post-order, so deep paths cannot hit the recursion limit. Counting uses
 (size, count) pairs with exact big integers.
+
+deficient_set reads the Gallai-Edmonds D-set (the vertices some maximum
+matching misses) off one maximum matching, in O(n) with integers only. In a
+tree it is the support of the adjacency kernel, and the nullity is n - 2*nu.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FormulaMismatch
-from .tree import Tree, components
+from .tree import Tree, components, per_tree
 
 
 def _postorder(adj: dict[int, tuple[int, ...]], root: int) -> tuple[list[int], dict[int, int]]:
@@ -26,13 +30,9 @@ def _postorder(adj: dict[int, tuple[int, ...]], root: int) -> tuple[list[int], d
     return order, parent
 
 
-# (size, count) pairs: combine by adding sizes and multiplying counts,
-# merge alternatives by keeping the larger size and adding counts on ties.
+# (size, count) pairs: merge alternatives by keeping the larger size and
+# adding counts on ties.
 SC = tuple[int, int]
-
-
-def _sc_add(a: SC, b: SC) -> SC:
-    return (a[0] + b[0], a[1] * b[1])
 
 
 def _sc_merge(a: SC, b: SC) -> SC:
@@ -47,30 +47,34 @@ _IMPOSSIBLE: SC = (-1, 0)  # below every real size; count 0 kills products
 
 
 def _matching_dp(adj: dict[int, tuple[int, ...]], root: int) -> SC:
+    """(nu, number of maximum matchings) of the tree, by post-order DP.
+
+    Per vertex, the best (size, count) with the vertex left free and with it
+    matched to a child. Matching v to child c changes the free optimum by
+    1 + (free[c] - best[c]) in size, and takes free[c]'s count in place of
+    best[c]'s. The children are folded in one at a time, so the counts of
+    the best choices are summed without dividing or keeping prefix products.
+    """
     order, parent = _postorder(adj, root)
     unmatched: dict[int, SC] = {}
     matched: dict[int, SC] = {}
     for v in order:
-        children = [w for w in adj[v] if parent[w] == v]
-        free: SC = (0, 1)
-        for c in children:
-            free = _sc_add(free, _sc_merge(unmatched[c], matched[c]))
-        unmatched[v] = free
-        # v matched to one child c: 1 + unmatched[c] + best of the others
-        best: SC = _IMPOSSIBLE
-        if children:
-            k = len(children)
-            bests = [_sc_merge(unmatched[c], matched[c]) for c in children]
-            prefix: list[SC] = [(0, 1)] * (k + 1)
-            for i in range(k):
-                prefix[i + 1] = _sc_add(prefix[i], bests[i])
-            suffix: list[SC] = [(0, 1)] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                suffix[i] = _sc_add(suffix[i + 1], bests[i])
-            for i, c in enumerate(children):
-                cand = _sc_add((1, 1), _sc_add(unmatched[c], _sc_add(prefix[i], suffix[i + 1])))
-                best = _sc_merge(best, cand)
-        matched[v] = best
+        size, count = 0, 1  # children at their best, v free
+        gain, ways = None, 0  # v matched to a child: size change, count
+        for c in adj[v]:
+            if parent[c] != v:
+                continue
+            us, uc = unmatched[c]
+            bs, bc = _sc_merge(unmatched[c], matched[c])
+            ways *= bc
+            if gain is None or us - bs > gain:
+                gain, ways = us - bs, uc * count
+            elif us - bs == gain:
+                ways += uc * count
+            size += bs
+            count *= bc
+        unmatched[v] = (size, count)
+        matched[v] = _IMPOSSIBLE if gain is None else (1 + size + gain, ways)
     return _sc_merge(unmatched[root], matched[root])
 
 
@@ -96,6 +100,40 @@ def matching_number_within(t: Tree, keep: Iterable[int]) -> int:
 def matching_number_excluding(t: Tree, v: int) -> int:
     """Matching number after deleting one vertex."""
     return matching_number_within(t, (u for u in t.vertices if u != v))
+
+
+@per_tree
+def deficient_set(t: Tree) -> tuple[tuple[int, ...], int]:
+    """(D, nu): the vertices some maximum matching misses, and nu.
+
+    A greedy leaf-up matching (a vertex still free when its subtree is done
+    takes its parent, if free) is maximum in a tree. A vertex is missed by
+    some maximum matching exactly when an even alternating path reaches it
+    from an exposed vertex, so one search from every exposed vertex, across
+    a non-matching edge and back along a matching edge, finds them all. An
+    exposed vertex at odd distance would end an augmenting path; the search
+    raises on one, so it also certifies the matching maximum.
+    """
+    order, parent = _postorder(t.adj, t.vertices[0])
+    mate: dict[int, int] = {}
+    for v in order:
+        p = parent[v]
+        if p != v and v not in mate and p not in mate:
+            mate[v] = p
+            mate[p] = v
+    even = [v for v in t.vertices if v not in mate]
+    found = set(even)
+    for u in even:
+        for w in t.adj[u]:
+            if mate.get(u) == w:
+                continue
+            m = mate.get(w)
+            if m is None:
+                raise FormulaMismatch(f"augmenting path through {u} and {w}")
+            if m not in found:
+                found.add(m)
+                even.append(m)
+    return tuple(v for v in t.vertices if v in found), len(mate) // 2
 
 
 def independence_number(t: Tree) -> int:

@@ -2,10 +2,11 @@
 
 check_tree computes the matching DP and the brute force once per tree, and
 reads the kernel, decomposition and atoms from the tree's own cache; it
-evaluates the full list of identities on it, and checks both signed bases
-by span equality against the eliminated kernel and the adjacency columns,
-independently of the builders' own proofs. sweep runs the battery over
-every labeled tree up to a given order. fixture_checks reproduces the
+evaluates the full list of identities on it, compares the support read off
+a maximum matching with the eliminated kernel's, and checks both signed
+bases by span equality against the eliminated kernel and the adjacency
+columns, independently of the builders' own proofs. sweep runs the battery
+over every labeled tree up to a given order. fixture_checks reproduces the
 shipped fixtures' numbers. All comparisons are exact; no tolerances anywhere.
 """
 
@@ -71,6 +72,12 @@ def check_tree(
     alpha = independence_number(t)
     n_vertices = dec.nonsingular_vertex_count
 
+    kernel_support = sorted({v for x in exact.tree_kernel(t) for v in x.entries})
+    check(
+        "support_is_kernel_support",
+        list(dec.support) == kernel_support,
+        f"matching D-set {list(dec.support)}, kernel support {kernel_support}",
+    )
     check("rank_is_twice_matching", rank == 2 * nu, f"rank {rank}, nu {nu}")
     check(
         "nullity_is_support_minus_core",

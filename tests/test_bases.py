@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from strees import bases, exact
@@ -118,6 +120,20 @@ class TestForestBasis:
         fb = forest_basis(Tree([], vertices=[7]))
         assert [entries(x) for x in fb.vectors] == [{7: 1}]
         assert fb.marker_rows == ((1,),)
+
+    def test_marker_rows_stay_sparse(self):
+        # dense rows for 2,999 basics over 3,001 columns would hold about
+        # 72 MB; kept sparse, the whole build peaks near 8 MB
+        star = star_tree(3000)
+        tracemalloc.start()
+        try:
+            fb = forest_basis(star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fb) == 2999
+        assert peak < 24_000_000
+        assert sum(fb.markers[-1].values()) == 1
 
     def test_csv_shape(self, tree8):
         text = marker_rows_csv(forest_basis(tree8))

@@ -8,7 +8,7 @@ from strees.cli import main
 from strees.decomposition import atom_set, decompose, invariant_report
 from strees.fixtures import fixture_path, star_tree
 from strees.generators import random_tree
-from strees.tree import tree_to_edge_text
+from strees.tree import Tree, tree_to_edge_text
 
 
 def test_same_object_per_tree(tree18):
@@ -18,54 +18,64 @@ def test_same_object_per_tree(tree18):
     assert exact.tree_rank(tree18) == tree18.order - len(exact.tree_kernel(tree18))
 
 
-def test_null_basis_eliminates_whole_tree_once(capsys, monkeypatch):
-    calls = []
+def _count_kernel_rows(monkeypatch):
+    """Record the width of every kernel elimination from here on."""
+    widths = []
     orig = exact._kernel_rows
 
     def counting(rows, col_labels):
-        if len(col_labels) == 18:
-            calls.append(1)
+        widths.append(len(col_labels))
         return orig(rows, col_labels)
 
     monkeypatch.setattr(exact, "_kernel_rows", counting)
+    return widths
+
+
+def _star_file(tmp_path):
+    star = tmp_path / "star.edges"
+    star.write_text(tree_to_edge_text(star_tree(40)))
+    return str(star)
+
+
+def test_null_basis_eliminates_no_kernel(capsys, monkeypatch, tmp_path):
+    # support, core and nullity come from one maximum matching
+    star = _star_file(tmp_path)
+    widths = _count_kernel_rows(monkeypatch)
     assert main(["null-basis", fixture_path("tree18"), "--format", "json"]) == 0
+    assert main(["null-basis", star, "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert widths == []
 
 
 def test_single_atom_tree_eliminated_once(capsys, monkeypatch, tmp_path):
     # a star is one atom: the atom is an equal Tree object that must reuse
     # the whole tree's kernel rather than derive it again
-    star = tmp_path / "star.edges"
-    star.write_text(tree_to_edge_text(star_tree(40)))
-    calls = []
-    orig = exact._kernel_rows
-
-    def counting(rows, col_labels):
-        if len(col_labels) == 41:
-            calls.append(1)
-        return orig(rows, col_labels)
-
-    monkeypatch.setattr(exact, "_kernel_rows", counting)
-    assert main(["null-basis", str(star), "--format", "json"]) == 0
+    star = _star_file(tmp_path)
+    widths = _count_kernel_rows(monkeypatch)
+    assert main(["range-basis", star, "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert widths == [41]
 
 
 def test_cached_structure_leaves_no_cycles():
-    gc.collect()
-    gc.disable()
-    try:
-        t = random_tree(300, 5)
-        decompose(t)
-        atom_set(t)
-        tree_null_basis(t)
-        tree_range_basis(t)
-        invariant_report(t)
-        del t
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    # a star and a spider are single atoms, whose atom is a twin of the tree
+    spider = [(0, 3 * i + 1) for i in range(5)] + [
+        (3 * i + j, 3 * i + j + 1) for i in range(5) for j in (1, 2)
+    ]
+    for make in (lambda: random_tree(300, 5), lambda: star_tree(40), lambda: Tree(spider)):
+        gc.collect()
+        gc.disable()
+        try:
+            t = make()
+            decompose(t)
+            atom_set(t)
+            tree_null_basis(t)
+            tree_range_basis(t)
+            invariant_report(t)
+            del t
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_range_basis_proven_without_span_checks(capsys, monkeypatch):

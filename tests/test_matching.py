@@ -55,6 +55,52 @@ class TestMatchingCount:
                 assert cnt == oracle.max_matching_count
 
 
+    def test_agrees_with_prefix_suffix_reference(self):
+        # large trees have counts far past any brute force
+        from strees.generators import random_tree
+
+        trees = [random_tree(n, seed) for n, seed in ((60, 1), (300, 2), (2000, 3))]
+        for t in trees + [star_tree(50), path_tree(301)]:
+            assert matching_number_and_count(t) == prefix_suffix_matching_dp(t)
+
+
+def prefix_suffix_matching_dp(t):
+    """Reference DP: v matched to child c pairs free[c] with the best of the
+    other children, read from prefix and suffix sums of (size, count)."""
+    def add(a, b):
+        return (a[0] + b[0], a[1] * b[1])
+
+    def merge(a, b):
+        if a[0] != b[0]:
+            return max(a, b)
+        return (a[0], a[1] + b[1])
+
+    root = t.vertices[0]
+    parent, order = {root: root}, [root]
+    for v in order:
+        for w in t.adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    free, matched = {}, {}
+    for v in reversed(order):
+        kids = [w for w in t.adj[v] if parent[w] == v]
+        bests = [merge(free[c], matched[c]) for c in kids]
+        prefix = [(0, 1)]
+        for b in bests:
+            prefix.append(add(prefix[-1], b))
+        suffix = [(0, 1)]
+        for b in reversed(bests):
+            suffix.append(add(suffix[-1], b))
+        suffix.reverse()
+        free[v] = prefix[-1]
+        matched[v] = (-1, 0)
+        for i, c in enumerate(kids):
+            cand = add((1, 1), add(free[c], add(prefix[i], suffix[i + 1])))
+            matched[v] = merge(matched[v], cand)
+    return merge(free[root], matched[root])
+
+
 class TestRestrictedMatching:
     def test_within(self, tree18):
         assert matching_number_within(tree18, {13, 14}) == 1

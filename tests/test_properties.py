@@ -7,6 +7,7 @@ from freetrees import canonical_form
 from strees import (
     CoalescencePlan,
     PruferCode,
+    Tree,
     VertexVector,
     classify,
     column_space_vectors,
@@ -31,7 +32,9 @@ from strees import (
     tree_to_edge_text,
     tree_to_json,
 )
+from strees.decomposition import Classification
 from strees.exact import rank_of_vectors
+from strees.matching import deficient_set
 
 
 @st.composite
@@ -64,6 +67,43 @@ def test_support_structure(t):
         assert not (u in sc.support and v in sc.support)
     for c in sc.core:
         assert sum(1 for w in t.neighbors(c) if w in sc.support) >= 2
+
+
+@st.composite
+def relabeled_trees(draw, max_n=80):
+    """Random labeled trees moved onto random distinct labels."""
+    t = draw(labeled_trees(max_n))
+    labels = draw(
+        st.lists(st.integers(0, 4 * t.order), min_size=t.order, max_size=t.order, unique=True)
+    )
+    name = dict(zip(t.vertices, labels))
+    return Tree([(name[u], name[v]) for u, v in t.edges()], vertices=labels)
+
+
+@given(t=relabeled_trees())
+@settings(max_examples=150, deadline=None)
+def test_matching_route_matches_elimination(t):
+    # support, core, nu and classify come from a maximum matching; the
+    # same quantities read off the eliminated kernel must agree
+    kern = tree_kernel(t)
+    supp = {v for x in kern for v in x.entries}
+    core = {w for v in supp for w in t.adj[v]} - supp
+    sc = support_core(t)
+    assert sc.support == tuple(sorted(supp))
+    assert sc.core == tuple(sorted(core))
+    nu = deficient_set(t)[1]
+    assert 2 * nu == t.order - len(kern)
+    assert nu == matching_number(t)
+    is_s = len(supp | core) == t.order
+    is_atom = is_s and not any(u in core and w in core for u, w in t.edges())
+    mcd = max((t.degree(v) for v in core), default=0)
+    assert classify(t) == Classification(
+        is_support_tree=is_s,
+        is_nonsingular_tree=not kern,
+        is_atom=is_atom,
+        is_basic=is_atom and t.order > 1 and mcd == 2,
+        max_core_degree=mcd,
+    )
 
 
 @given(t=labeled_trees())

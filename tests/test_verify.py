@@ -1,9 +1,9 @@
 import pytest
 
-from strees import verify
+from strees import matching, verify
 from strees.bases import RangeBasis
 from strees.errors import TooSmall
-from strees.fixtures import path_tree
+from strees.fixtures import fixture_tree, path_tree
 from strees.tree import Tree, VertexVector
 from strees.verify import check_tree, fixture_checks, sweep
 
@@ -18,6 +18,7 @@ class TestCheckTree:
     def test_check_names_present(self, tree8):
         names = {r.name for r in check_tree(tree8).results}
         assert "rank_is_twice_matching" in names
+        assert "support_is_kernel_support" in names
         assert "matching_number_brute" in names
         assert "null_basis" in names
 
@@ -31,6 +32,18 @@ class TestCheckTree:
         report = check_tree(path_tree(20), brute_limit=16)
         assert report.ok
         assert not any("brute" in r.name for r in report.results)
+
+    def test_support_cross_checked_by_elimination(self, monkeypatch):
+        # a matching route that drops one supported vertex
+        honest = matching.deficient_set
+
+        def short(t):
+            d, nu = honest(t)
+            return d[1:], nu
+
+        monkeypatch.setattr(matching, "deficient_set", short)
+        report = check_tree(fixture_tree("tree8"), with_bases=False)
+        assert "support_is_kernel_support" in {r.name for r in report.failures}
 
     def test_range_basis_cross_checked_by_elimination(self, monkeypatch, tree8):
         # the right count but the wrong span: e2 leaves the column space
