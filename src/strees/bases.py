@@ -17,17 +17,18 @@ one basic, every seed row sums to +1 and every other row is a single +1.
 The rows are kept sparse, as {vertex: value}, and expanded on demand.
 
 Range: a core vertex contributes its unit vector and the indicator of its
-supported neighbors; nonsingular parts contribute plain unit vectors.
+supported neighbors (its bouquet); the vertices outside the closed support,
+those of the nonsingular parts, contribute plain unit vectors.
 
-Each atom's bases are proven by count, membership and independence (one
-elimination of the family); the whole-tree bases need only count and
-membership, as atoms are disjoint. The null space's dimension is
-order - 2*nu, from one maximum matching, and its vectors are checked
-against the adjacency equations next to their support, so a null basis is
-built and proven without eliminating any kernel. A range vector's
-membership is orthogonality to the eliminated kernel, since A is
-symmetric. Failures raise ValidationFailed or SpanMismatch and are never
-swallowed.
+No basis is proven by elimination. The dimensions come from one maximum
+matching: the kernel has order - 2*nu, the range 2*nu. Null vectors are
+checked against the adjacency equations next to their support. A range
+vector x lies in the column space when x - A y vanishes on the matching
+D-set, which holds the kernel's support: y = 0 for a unit, y = e_c for the
+bouquet of core c. Independence is proven by peeling (exact.peel_independent),
+per atom for the null space, as atoms are disjoint, and over the whole
+family for the range. Failures raise ValidationFailed or SpanMismatch and
+are never swallowed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import exact, matching
-from .decomposition import atom_set, classify, decompose, support_core
+from .decomposition import atom_set, classify, support_core
 from .errors import NotAtom, SpanMismatch, TooSmall, ValidationFailed
 from .tree import Tree, VertexVector, components
 
@@ -102,19 +103,14 @@ def basic_vector(b: BasicSubtree) -> VertexVector:
 
 
 def grow_basic_subtree(
-    atom: Tree,
-    seed: int,
-    rule: str = "ascending",
-    _within: frozenset[int] | None = None,
+    atom: Tree, seed: int, _within: frozenset[int] | None = None
 ) -> BasicSubtree:
     """Grow a basic subtree of an atom from a seed vertex.
 
     Starting from a supported seed (or from two chosen neighbors of a core
     seed), repeatedly adjoin any outside core vertex adjacent to the current
     set together with one fresh neighbor, until no core vertex borders the
-    set. Choices resolve by ascending id; rule="prefer_uncovered_core"
-    instead prefers a fresh neighbor adjacent to a not-yet-adjoined core
-    (ties by id).
+    set. Choices resolve by ascending id.
     """
     if not classify(atom).is_atom:
         raise NotAtom("basic subtrees only grow inside atoms")
@@ -164,20 +160,8 @@ def grow_basic_subtree(
         fresh_choices = [w for w in h_neighbors(joiner) if w not in b]
         if not fresh_choices:
             raise ValidationFailed(f"core {joiner} has no fresh neighbor")
-        if rule == "prefer_uncovered_core":
-            uncovered = core & avail - b - {joiner}
-            preferred = [
-                w
-                for w in fresh_choices
-                if any(x in uncovered for x in atom.adj[w])
-            ]
-            fresh = min(preferred) if preferred else min(fresh_choices)
-        elif rule == "ascending":
-            fresh = min(fresh_choices)
-        else:
-            raise ValidationFailed(f"unknown growth rule {rule!r}")
         b.add(joiner)
-        b.add(fresh)
+        b.add(min(fresh_choices))
 
     adj = {v: tuple(w for w in atom.adj[v] if w in b) for v in sorted(b)}
     return _basic(Tree._trusted(tuple(sorted(b)), adj), atom, supp, core)
@@ -217,7 +201,15 @@ def forest_basis(atom: Tree) -> ForestBasis:
     branch grafting, and recursion into the remaining components. Every
     emitted vector is validated against the atom's kernel equations; the
     final family must have the kernel's dimension, order - 2*nu, and be
-    independent (one elimination of the family itself), so it is a basis.
+    independent, so it is a basis.
+
+    Independence is proven by peeling. It succeeds, retiring from the last
+    basic back, whenever each basic holds a supported vertex that no earlier
+    basic holds: a basic's vector is nonzero on all its supported vertices.
+    Swap and graft basics do by construction, as their marker is such a
+    vertex. A seed does if its marker row sums to +1, since it then first
+    covers more supported vertices than core ones; every row tried does,
+    but that is not proven, and a stall raises SpanMismatch.
     """
     if not classify(atom).is_atom:
         raise NotAtom("null-space bases are built per atom")
@@ -349,8 +341,9 @@ def forest_basis(atom: Tree) -> ForestBasis:
             f"emitted {len(vectors)} basics, expected support - core = {expect}"
         )
     nullity = atom.order - 2 * matching.deficient_set(atom)[1]
-    if len(vectors) != nullity or exact.rank_of_vectors(vectors) != nullity:
-        raise SpanMismatch(f"{len(vectors)} basics do not have rank {nullity}")
+    if len(vectors) != nullity:
+        raise SpanMismatch(f"{len(vectors)} basics for a kernel of dimension {nullity}")
+    exact.peel_independent(vectors)
     return ForestBasis(
         host=atom,
         basics=tuple(basics),
@@ -369,32 +362,51 @@ class RangeBasis:
     roles: tuple[str, ...]  # "core_unit" | "bouquet" | "unit"
 
 
+def _range_family(t: Tree) -> list[tuple[VertexVector, str]]:
+    """Units outside the closed support, then a core unit and a bouquet per
+    core vertex, proven a basis of the column space.
+
+    Count: the rank is 2*nu. Membership: each vector x has a preimage y with
+    x - A y zero on the D-set, which holds the kernel's support: y = 0 for
+    a unit, as units sit outside the D-set, and y = e_c for the bouquet of
+    core c, as c's other neighbors are core or nonsingular. Independence:
+    peeling. Units and core units each hold their own vertex alone. Rooted
+    anywhere, a core vertex has two or more supported neighbors, so one is
+    its child, which only deeper cores' bouquets also hold; peeling retires
+    the bouquets from the deepest core up.
+    """
+    d, nu = matching.deficient_set(t)
+    supp = set(d)
+    core = support_core(t).core
+    closed = supp.union(core)
+    dom = t.vertices
+    family = [(VertexVector.unit(dom, v), "unit", None) for v in dom if v not in closed]
+    for c in core:
+        family.append((VertexVector.unit(dom, c), "core_unit", None))
+        bouquet = VertexVector.indicator(dom, (w for w in t.adj[c] if w in supp))
+        family.append((bouquet, "bouquet", c))
+    if len(family) != 2 * nu:
+        raise SpanMismatch(f"{len(family)} range vectors, rank is {2 * nu}")
+    for x, _, y in family:
+        if not exact.in_column_space_by_witness(t, supp, x, y):
+            raise SpanMismatch("range vector leaves the column space")
+    exact.peel_independent([x for x, _, _ in family])
+    return [(x, role) for x, role, _ in family]
+
+
 def atom_range_basis(atom: Tree) -> RangeBasis:
     """Range basis of one atom: unit plus bouquet indicator per core vertex.
 
-    Proven by count = rank, orthogonality to the kernel and independence.
+    Proven by count = rank, membership from a preimage and independence.
     """
     if not classify(atom).is_atom:
         raise NotAtom("range bases are built per atom")
-    sc = support_core(atom)
-    supp = set(sc.support)
-    vectors: list[VertexVector] = []
-    roles: list[str] = []
-    for v in sc.core:
-        vectors.append(VertexVector.unit(atom.vertices, v))
-        roles.append("core_unit")
-        vectors.append(
-            VertexVector.indicator(
-                atom.vertices, (w for w in atom.adj[v] if w in supp)
-            )
-        )
-        roles.append("bouquet")
-    if not exact.in_column_space(atom, vectors):
-        raise SpanMismatch("atom range vector leaves the column space")
-    r = exact.tree_rank(atom)
-    if len(vectors) != r or exact.rank_of_vectors(vectors) != r:
-        raise SpanMismatch(f"{len(vectors)} atom range vectors do not have rank {r}")
-    return RangeBasis(tree=atom, vectors=tuple(vectors), roles=tuple(roles))
+    pairs = _range_family(atom)
+    return RangeBasis(
+        tree=atom,
+        vectors=tuple(x for x, _ in pairs),
+        roles=tuple(role for _, role in pairs),
+    )
 
 
 def _order_key(x: VertexVector) -> tuple:
@@ -432,30 +444,18 @@ def tree_null_basis(t: Tree) -> tuple[VertexVector, ...]:
 def tree_range_basis(t: Tree) -> RangeBasis:
     """Signed spanning basis of the whole tree's column space.
 
-    Unit vectors on every nonsingular-part vertex, plus each atom's range
-    basis, lifted: each atom's family is independent and the parts are
-    disjoint, so rank vectors orthogonal to the kernel form a basis.
+    Unit vectors on every nonsingular-part vertex, plus each core vertex's
+    unit and bouquet: every atom's range basis, read off the whole tree,
+    since a core vertex's supported neighbors all lie in its atom. Proven
+    over the whole family at once, ordered by smallest supported vertex.
     """
-    # eliminate first, so a single atom, a twin of t, starts with the kernel
-    r = exact.tree_rank(t)
-    pairs: list[tuple[VertexVector, str]] = []
-    for part in decompose(t).nonsingular_parts:
-        for v in part.vertices:
-            pairs.append((VertexVector.unit(t.vertices, v), "unit"))
-    for a in atom_set(t).atoms:
-        rb = atom_range_basis(a)
-        for x, role in zip(rb.vectors, rb.roles):
-            pairs.append((VertexVector(t.vertices, dict(x.entries)), role))
+    pairs = _range_family(t)
     pairs.sort(key=lambda p: _order_key(p[0]))
-    vectors = tuple(p[0] for p in pairs)
-    roles = tuple(p[1] for p in pairs)
-    if len(vectors) != r:
-        raise ValidationFailed(
-            f"range basis has {len(vectors)} vectors, rank is {r}"
-        )
-    if not exact.in_column_space(t, vectors):
-        raise SpanMismatch("range vector leaves the column space")
-    return RangeBasis(tree=t, vectors=vectors, roles=roles)
+    return RangeBasis(
+        tree=t,
+        vectors=tuple(p[0] for p in pairs),
+        roles=tuple(p[1] for p in pairs),
+    )
 
 
 def vectors_to_json(vectors: Iterable[VertexVector]) -> list:

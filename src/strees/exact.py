@@ -13,6 +13,12 @@ pivot updates, so forward elimination costs about the nonzeros it touches.
 Back-substitution for each free column visits only the pivots its kernel
 vector reaches. Neither changes the pivot order or the arithmetic, so the
 pivots, the rank and every kernel vector are those of the plain rescan.
+
+The basis builders prove their families without eliminating anything:
+peel_independent proves a family independent by a triangular submatrix,
+and in_column_space_by_witness proves a vector in the column space from a
+preimage and the set that holds the kernel's support. Elimination stays as
+the independent oracle (tree_kernel, rank_of_vectors, span_equal).
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
-from .errors import DomainMismatch, EmptyBasis, TooLarge
+from .errors import DomainMismatch, EmptyBasis, SpanMismatch, TooLarge
 from .tree import Tree, VertexVector, per_tree
 
 Row = dict[int, int]
@@ -238,6 +244,26 @@ def in_column_space(t: Tree, vectors: Sequence[VertexVector]) -> bool:
     return True
 
 
+def in_column_space_by_witness(
+    t: Tree, deficient: AbstractSet[int], x: VertexVector, preimage: int | None = None
+) -> bool:
+    """Whether x - A(t) y vanishes on `deficient`, for y = e_preimage (or 0).
+
+    `deficient` must hold the support of every kernel vector of A(t); in a
+    tree the matching D-set is exactly that support. Then x - A(t) y is
+    orthogonal to the kernel, so it lies in the column space (A is
+    symmetric), and so does x. Costs O(|supp x| + deg preimage).
+    """
+    if not _same_domain(x.domain, t.vertices):
+        raise DomainMismatch("vector is not indexed by this tree")
+    rest = {v: c for v, c in x.entries.items() if v in deficient}
+    if preimage is not None:
+        for w in t.adj[preimage]:
+            if w in deficient:
+                rest[w] = rest.get(w, 0) - 1
+    return not any(rest.values())
+
+
 def column_space_vectors(t: Tree) -> tuple[VertexVector, ...]:
     """Columns of the adjacency matrix as vectors over the tree."""
     return tuple(
@@ -252,6 +278,50 @@ def _vector_rows(vectors: Sequence[VertexVector]) -> list[Row]:
 def rank_of_vectors(vectors: Sequence[VertexVector]) -> int:
     _, r = _eliminate(_vector_rows(vectors))
     return r
+
+
+def peel_independent(vectors: Sequence[VertexVector]) -> list[tuple[int, int]]:
+    """Prove a family independent by peeling, with no elimination.
+
+    Repeatedly retire a live vector that is the only live holder of some
+    column. Say v_1, ..., v_m retire in that order, v_k through column c_k.
+    Every vector retired after v_k was live when v_k retired, so it is zero
+    at c_k; and c_k has no live holder afterwards, so the c_k are distinct.
+    The submatrix of rows v_1..v_m and columns c_1..c_m is thus triangular
+    with the nonzero entries v_k[c_k] on its diagonal, and the family is
+    independent. Whether everything retires does not depend on the order,
+    as a column whose only live holder is v keeps it until v retires. A set
+    of live holders per column and a worklist of columns with one holder
+    make this O(total support).
+
+    Returns the (vector position, column) pairs in retirement order. Raises
+    SpanMismatch if peeling stalls, which a dependent family always does and
+    an independent one may; it never falls back to elimination.
+    """
+    if not all(_same_domain(x.domain, vectors[0].domain) for x in vectors):
+        raise DomainMismatch("peeling needs a common domain")
+    holders: dict[int, set[int]] = {}
+    for i, x in enumerate(vectors):
+        for v in x.entries:
+            holders.setdefault(v, set()).add(i)
+    todo = [v for v, h in holders.items() if len(h) == 1]
+    order: list[tuple[int, int]] = []
+    while todo:
+        c = todo.pop()
+        if len(holders[c]) != 1:
+            continue
+        (i,) = holders[c]
+        order.append((i, c))
+        for v in vectors[i].entries:
+            h = holders[v]
+            h.discard(i)
+            if len(h) == 1:
+                todo.append(v)
+    if len(order) != len(vectors):
+        raise SpanMismatch(
+            f"peeling retired {len(order)} of {len(vectors)} vectors"
+        )
+    return order
 
 
 def span_equal(a: Sequence[VertexVector], b: Sequence[VertexVector]) -> bool:

@@ -153,8 +153,10 @@ def stellare_bases(t: Tree, ks: Sequence[int]) -> StellareBases:
 
     Null space: for each base vertex, first pendant minus each later pendant.
     Range: for each base vertex v, the unit vector e_v and the indicator of
-    v's pendants. Each family is proven a basis by count, membership and
-    independence; a failure raises SpanMismatch.
+    v's pendants. Each family is proven a basis by count (the rank is 2*nu),
+    membership and independence by peeling, with no elimination. A pendant
+    indicator x is in the column space since x - A e_v vanishes on the
+    D-set, the pendants; a failure raises SpanMismatch.
     """
     res = stellare(t, ks)
     big = res.tree
@@ -165,18 +167,23 @@ def stellare_bases(t: Tree, ks: Sequence[int]) -> StellareBases:
         for other in ps[1:]:
             null_vecs.append(VertexVector(dom, {ps[0]: 1, other: -1}))
     range_vecs: list[VertexVector] = []
+    preimages: list[int | None] = []
     for v in t.vertices:
         range_vecs.append(VertexVector.unit(dom, v))
         range_vecs.append(VertexVector.indicator(dom, res.pendants_of(v)))
+        preimages += [None, v]
     for x in null_vecs:
         if not exact.in_adjacency_kernel(big, x):
             raise SpanMismatch("null vector fails the kernel equations")
-    if not exact.in_column_space(big, range_vecs):
-        raise SpanMismatch("range vector leaves the column space")
-    nullity = len(exact.tree_kernel(big))
-    for vecs, dim in ((null_vecs, nullity), (range_vecs, big.order - nullity)):
-        if len(vecs) != dim or exact.rank_of_vectors(vecs) != dim:
-            raise SpanMismatch(f"{len(vecs)} vectors do not form a basis of dimension {dim}")
+    d, nu = matching.deficient_set(big)
+    deficient = set(d)
+    for x, y in zip(range_vecs, preimages):
+        if not exact.in_column_space_by_witness(big, deficient, x, y):
+            raise SpanMismatch("range vector leaves the column space")
+    for vecs, dim in ((null_vecs, big.order - 2 * nu), (range_vecs, 2 * nu)):
+        if len(vecs) != dim:
+            raise SpanMismatch(f"{len(vecs)} vectors for a space of dimension {dim}")
+        exact.peel_independent(vecs)
     return StellareBases(
         tree=big,
         null_vectors=tuple(null_vecs),

@@ -22,7 +22,7 @@ T = TypeVar("T")
 class Tree:
     """An unrooted tree: sorted vertex tuple plus sorted adjacency lists."""
 
-    __slots__ = ("vertices", "adj", "_edges", "_index", "_memo")
+    __slots__ = ("vertices", "adj", "_edges", "_memo")
 
     def __init__(self, edges: Iterable[Edge], vertices: Iterable[int] = ()) -> None:
         vs: set[int] = set(vertices)
@@ -65,7 +65,6 @@ class Tree:
         self.vertices: tuple[int, ...] = tuple(sorted(adj))
         self.adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in self.vertices}
         self._edges: tuple[Edge, ...] | None = None
-        self._index: dict[int, int] | None = None
         self._memo: dict[str, object] = {}  # see per_tree
 
     @classmethod
@@ -75,7 +74,6 @@ class Tree:
         t.vertices = vertices
         t.adj = adj
         t._edges = None
-        t._index = None
         t._memo = {}
         return t
 
@@ -112,12 +110,6 @@ class Tree:
                 (u, v) for u in self.vertices for v in self.adj[u] if u < v
             )
         return self._edges
-
-    def index(self) -> dict[int, int]:
-        """Position of each vertex in the sorted vertex tuple."""
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.vertices)}
-        return self._index
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
@@ -279,9 +271,6 @@ class VertexVector:
         if not _in_domain(self.domain, v):
             raise DomainMismatch(f"vertex {v} outside domain")
         return self.entries.get(v, 0)
-
-    def domain_set(self) -> frozenset[int]:
-        return frozenset(self.domain)
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.entries))

@@ -1,4 +1,5 @@
-"""Adversarial shapes of about 10^4 vertices against the elimination oracle."""
+"""Adversarial shapes of about 10^4 vertices: the elimination oracle, and the
+builders' own proofs where the oracle is slow."""
 
 import pytest
 
@@ -62,3 +63,19 @@ def test_large_shape_against_oracle(shape):
     assert len(kern) == t.order - 2 * matching_number(t)
     assert exact.span_equal(tree_null_basis(t), kern)
     assert exact.span_equal(tree_range_basis(t).vectors, exact.column_space_vectors(t))
+
+
+# The builders prove their bases by count, membership and peeling, with no
+# elimination, so they stay fast on the shapes the oracle finds slow.
+@pytest.mark.parametrize("shape", ["spider"])
+def test_large_null_basis_proves_itself(shape):
+    t = SHAPES[shape]()
+    nb = tree_null_basis(t)  # raises unless count, membership and peeling hold
+    assert len(nb) == t.order - 2 * matching_number(t)
+
+
+@pytest.mark.parametrize("shape", ["star", "spider"])
+def test_large_range_basis_proves_itself(shape):
+    t = SHAPES[shape]()
+    rb = tree_range_basis(t)
+    assert len(rb.vectors) == 2 * matching_number(t)

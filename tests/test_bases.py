@@ -31,11 +31,6 @@ class TestGrow:
         assert b.tree.vertices == (1, 2, 3)
         assert b.pendant == 2
 
-    def test_prefer_uncovered_core(self, tree8):
-        b = grow_basic_subtree(tree8, 2, rule="prefer_uncovered_core")
-        assert b.tree.vertices == (1, 2, 5, 6, 7)
-        assert entries(basic_vector(b)) == {2: 1, 5: -1, 7: 1}
-
     def test_core_seed_joins_alone(self, tree8):
         b = grow_basic_subtree(tree8, 1)
         assert b.tree.vertices == (1, 2, 3)
@@ -58,10 +53,6 @@ class TestGrow:
     def test_rejects_tiny(self):
         with pytest.raises(TooSmall):
             grow_basic_subtree(Tree([], vertices=[0]), 0)
-
-    def test_rejects_unknown_rule(self, tree8):
-        with pytest.raises(ValidationFailed):
-            grow_basic_subtree(tree8, 2, rule="nope")
 
 
 class TestBasicVector:

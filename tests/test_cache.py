@@ -8,6 +8,7 @@ from strees.cli import main
 from strees.decomposition import atom_set, decompose, invariant_report
 from strees.fixtures import fixture_path, star_tree
 from strees.generators import random_tree
+from strees.ops import stellare_bases
 from strees.tree import Tree, tree_to_edge_text
 
 
@@ -16,6 +17,12 @@ def test_same_object_per_tree(tree18):
     assert decompose(tree18) is decompose(tree18)
     assert atom_set(tree18) is atom_set(tree18)
     assert exact.tree_rank(tree18) == tree18.order - len(exact.tree_kernel(tree18))
+
+
+# five legs of length three around vertex 0
+SPIDER = [(0, 3 * i + 1) for i in range(5)] + [
+    (3 * i + j, 3 * i + j + 1) for i in range(5) for j in (1, 2)
+]
 
 
 def _count_kernel_rows(monkeypatch):
@@ -47,22 +54,39 @@ def test_null_basis_eliminates_no_kernel(capsys, monkeypatch, tmp_path):
     assert widths == []
 
 
-def test_single_atom_tree_eliminated_once(capsys, monkeypatch, tmp_path):
-    # a star is one atom: the atom is an equal Tree object that must reuse
-    # the whole tree's kernel rather than derive it again
+def test_range_basis_eliminates_no_kernel(capsys, monkeypatch, tmp_path):
+    # the rank is 2*nu, and membership has a preimage instead of a kernel
     star = _star_file(tmp_path)
     widths = _count_kernel_rows(monkeypatch)
     assert main(["range-basis", star, "--format", "json"]) == 0
     capsys.readouterr()
-    assert widths == [41]
+    assert widths == []
+
+
+def test_bases_eliminate_nothing(capsys, monkeypatch, tmp_path):
+    # count, membership and independence by peeling: no elimination of any
+    # family, kernel or rank
+    spider = tmp_path / "spider.edges"
+    spider.write_text(tree_to_edge_text(Tree(SPIDER)))
+    calls = []
+    orig = exact._eliminate
+
+    def counting(rows):
+        calls.append(len(rows))
+        return orig(rows)
+
+    monkeypatch.setattr(exact, "_eliminate", counting)
+    for path in (fixture_path("tree18"), _star_file(tmp_path), str(spider)):
+        for cmd in ("null-basis", "range-basis"):
+            assert main([cmd, path, "--format", "json"]) == 0
+    capsys.readouterr()
+    stellare_bases(random_tree(12, 3), [2, 3] * 6)
+    assert calls == []
 
 
 def test_cached_structure_leaves_no_cycles():
     # a star and a spider are single atoms, whose atom is a twin of the tree
-    spider = [(0, 3 * i + 1) for i in range(5)] + [
-        (3 * i + j, 3 * i + j + 1) for i in range(5) for j in (1, 2)
-    ]
-    for make in (lambda: random_tree(300, 5), lambda: star_tree(40), lambda: Tree(spider)):
+    for make in (lambda: random_tree(300, 5), lambda: star_tree(40), lambda: Tree(SPIDER)):
         gc.collect()
         gc.disable()
         try:
@@ -97,4 +121,4 @@ def test_range_basis_proven_without_span_checks(capsys, monkeypatch):
     assert main(["range-basis", fixture_path("tree18"), "--format", "json"]) == 0
     capsys.readouterr()
     assert span_calls == []
-    assert len(kernel_calls) == 1
+    assert kernel_calls == []

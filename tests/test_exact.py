@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from strees import exact
-from strees.errors import DomainMismatch, EmptyBasis, TooLarge
+from strees.decomposition import support_core
+from strees.errors import DomainMismatch, EmptyBasis, SpanMismatch, TooLarge
 from strees.fixtures import path_tree
 from strees.generators import PruferCode, prufer_decode
 from strees.tree import Tree, VertexVector
@@ -264,6 +265,57 @@ class TestColumnSpace:
     def test_domain_mismatch(self, tree18):
         with pytest.raises(DomainMismatch):
             exact.in_column_space(tree18, [VertexVector((1, 2), {1: 1})])
+
+
+class TestWitnessMembership:
+    def test_adjacency_columns_by_their_vertex(self, tree18):
+        deficient = set(support_core(tree18).support)
+        for v, col in zip(tree18.vertices, exact.column_space_vectors(tree18)):
+            assert exact.in_column_space_by_witness(tree18, deficient, col, v)
+
+    def test_wrong_or_missing_preimage_rejected(self, tree18):
+        deficient = set(support_core(tree18).support)
+        col = exact.column_space_vectors(tree18)[0]  # vertex 1's column
+        assert not exact.in_column_space_by_witness(tree18, deficient, col)
+        assert not exact.in_column_space_by_witness(tree18, deficient, col, 4)
+
+    def test_unit_on_supported_vertex_rejected(self, tree18):
+        deficient = set(support_core(tree18).support)
+        x = VertexVector.unit(tree18.vertices, 2)
+        assert not exact.in_column_space_by_witness(tree18, deficient, x)
+
+    def test_domain_mismatch(self, tree18):
+        with pytest.raises(DomainMismatch):
+            exact.in_column_space_by_witness(tree18, set(), VertexVector((1, 2), {1: 1}))
+
+
+class TestPeel:
+    def test_star_null_family(self):
+        dom = tuple(range(6))
+        vecs = [VertexVector(dom, {1: 1, j: -1}) for j in range(2, 6)]
+        # all four share column 1; each holds one other column alone
+        assert sorted(i for i, _ in exact.peel_independent(vecs)) == [0, 1, 2, 3]
+
+    def test_dependent_family_stalls(self):
+        dom = tuple(range(3))
+        vecs = [
+            VertexVector(dom, {0: 1, 1: -1}),
+            VertexVector(dom, {1: 1, 2: -1}),
+            VertexVector(dom, {0: 1, 2: -1}),
+        ]
+        with pytest.raises(SpanMismatch):
+            exact.peel_independent(vecs)
+
+    def test_zero_vector_stalls(self):
+        with pytest.raises(SpanMismatch):
+            exact.peel_independent([VertexVector((0, 1), {})])
+
+    def test_empty_family(self):
+        assert exact.peel_independent([]) == []
+
+    def test_domain_mismatch(self):
+        with pytest.raises(DomainMismatch):
+            exact.peel_independent([VertexVector((0, 1), {0: 1}), VertexVector((0, 2), {2: 1})])
 
 
 class TestFullSupport:

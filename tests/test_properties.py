@@ -32,9 +32,12 @@ from strees import (
     tree_to_edge_text,
     tree_to_json,
 )
-from strees.decomposition import Classification
-from strees.exact import rank_of_vectors
+from strees.bases import atom_range_basis, forest_basis
+from strees.decomposition import Classification, atom_set, bouquet
+from strees.errors import SpanMismatch
+from strees.exact import in_column_space_by_witness, peel_independent, rank_of_vectors
 from strees.matching import deficient_set
+from test_exact import fraction_rank
 
 
 @st.composite
@@ -191,3 +194,76 @@ def test_random_s_tree_is_certified(seed):
     cls = classify(t)
     assert cls.is_support_tree
     assert decompose(t).nonsingular_parts == ()
+
+
+NONZERO = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def sparse_families(draw):
+    """Sparse integer families; half of them share column 0 in every vector,
+    as a star's or a spider's null basis does."""
+    n = draw(st.integers(1, 10))
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, n - 1), NONZERO, max_size=4), min_size=1, max_size=12)
+    )
+    if draw(st.booleans()):
+        rows = [{**r, 0: draw(NONZERO)} for r in rows]
+    return n, rows
+
+
+@given(case=sparse_families())
+@settings(max_examples=1000, deadline=None)
+def test_peeling_proves_independence(case):
+    n, rows = case
+    vecs = [VertexVector(range(n), r) for r in rows]
+    try:
+        order = peel_independent(vecs)
+    except SpanMismatch:
+        return
+    assert fraction_rank([[r.get(c, 0) for c in range(n)] for r in rows]) == len(rows)
+    # the retirement order is a triangular submatrix with a nonzero diagonal
+    assert sorted(i for i, _ in order) == list(range(len(rows)))
+    for k, (i, c) in enumerate(order):
+        assert rows[i][c] != 0
+        assert all(c not in rows[j] for j, _ in order[k + 1:])
+
+
+@given(t=relabeled_trees())
+@settings(max_examples=100, deadline=None)
+def test_peeling_succeeds_on_atom_families(t):
+    for a in atom_set(t).atoms:
+        for vecs in (forest_basis(a).vectors, atom_range_basis(a).vectors):
+            assert len(peel_independent(vecs)) == len(vecs)
+
+
+@given(t=relabeled_trees())
+@settings(max_examples=100, deadline=None)
+def test_witness_membership_matches_kernel_oracle(t):
+    deficient = set(deficient_set(t)[0])
+    rb = tree_range_basis(t)
+    core = support_core(t).core
+    for x, role in zip(rb.vectors, rb.roles):
+        y = None
+        if role == "bouquet":
+            (y,) = [c for c in core if set(bouquet(t, c)) == set(x.entries)]
+        assert in_column_space_by_witness(t, deficient, x, y)
+        assert in_column_space(t, [x])
+
+
+@given(t=labeled_trees(max_n=20), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_witness_membership_is_sound(t, data):
+    # x = A y + z with z zero on the D-set: the witness accepts it, and the
+    # kernel oracle must agree that x is in the column space
+    deficient = set(deficient_set(t)[0])
+    y = data.draw(st.none() | st.sampled_from(t.vertices))
+    off = [v for v in t.vertices if v not in deficient]
+    entries = data.draw(
+        st.dictionaries(st.sampled_from(off), st.integers(-2, 2), max_size=4) if off else st.just({})
+    )
+    for w in t.adj[y] if y is not None else ():
+        entries[w] = entries.get(w, 0) + 1
+    x = VertexVector(t.vertices, entries)
+    assert in_column_space_by_witness(t, deficient, x, y)
+    assert in_column_space(t, [x])
