@@ -10,7 +10,12 @@ kernel equations of the whole atom.
 The forest of basic subtrees is grown greedily: seed a subtree, swap its
 pendants to reach sibling leaves, graft its branches to reach pendants
 hanging off already-covered core vertices, then recurse into the remaining
-components with a branch of the seed attached. Accounting rows (one per
+components with a branch of the seed attached. Each such thread carries its
+own subtree of the atom; seeds grow from a heap of bordering core vertices,
+and swaps and grafts take one ascending pass over the thread's uncovered
+pendants. Growth thus costs about the threads' sizes plus the size of the
+basics emitted. A basic is proven by its shape and by its vector solving
+the atom's kernel equations, with no classification. Accounting rows (one per
 emitted basic, columns indexed by atom vertices) witness that the number of
 basics is exactly support - core: each vertex is first covered by exactly
 one basic, every seed row sums to +1 and every other row is a single +1.
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from . import exact, matching
@@ -52,28 +58,43 @@ class BasicSubtree:
     pendant: int
 
 
-def _basic(tree: Tree, host: Tree, supp: set[int], core: set[int]) -> BasicSubtree:
-    """Prove a subtree of the host atom basic and pick its supported pendant."""
-    verts = set(tree.vertices)
+def _basic(
+    tree: Tree, host: Tree, supp: set[int], core: set[int]
+) -> tuple[BasicSubtree, VertexVector]:
+    """Prove a subtree of the host atom basic; return it with its vector.
+
+    In an atom every edge joins a supported vertex to a core one, as the
+    support is independent and an atom has no core-core edges. A subtree in
+    which every core vertex has degree two and every supported vertex keeps
+    all its host neighbors is therefore bipartite, and has a core vertex
+    unless the host is a single vertex. Its alternating vector, from a
+    supported pendant, is nonzero on all its supported vertices. If that
+    vector solves the host's kernel equations it solves the subtree's: a
+    core vertex of the subtree has all its supported host neighbors in it.
+    So every supported vertex of the subtree is in the subtree's support,
+    and as a tree's support is independent, the subtree's support and core
+    are the host's restricted to it: the subtree is an atom whose core
+    vertices have degree two, a basic subtree. The vector is computed and
+    checked here, before the subtree is accepted.
+    """
     for v in tree.vertices:
         if v in core:
-            if tree.degree(v) != 2:
+            if len(tree.adj[v]) != 2:
                 raise ValidationFailed(
-                    f"core vertex {v} has degree {tree.degree(v)} in its basic subtree"
+                    f"core vertex {v} has degree {len(tree.adj[v])} in its basic subtree"
                 )
         elif v in supp:
-            missing = [w for w in host.adj[v] if w not in verts]
+            missing = [w for w in host.adj[v] if w not in tree.adj]
             if missing:
                 raise ValidationFailed(
                     f"supported vertex {v} lost neighbor {missing[0]}"
                 )
         else:
             raise ValidationFailed(f"vertex {v} is neither support nor core")
-    if not classify(tree).is_basic:
-        raise ValidationFailed("subtree fails the basic classification")
     for v in tree.vertices:
-        if v in supp and tree.degree(v) <= 1:
-            return BasicSubtree(tree=tree, host=host, pendant=v)
+        if v in supp and len(tree.adj[v]) <= 1:
+            b = BasicSubtree(tree=tree, host=host, pendant=v)
+            return b, basic_vector(b)
     raise ValidationFailed("basic subtree has no supported pendant")
 
 
@@ -102,31 +123,35 @@ def basic_vector(b: BasicSubtree) -> VertexVector:
     return x
 
 
-def grow_basic_subtree(
-    atom: Tree, seed: int, _within: frozenset[int] | None = None
-) -> BasicSubtree:
+def grow_basic_subtree(atom: Tree, seed: int) -> BasicSubtree:
     """Grow a basic subtree of an atom from a seed vertex.
 
     Starting from a supported seed (or from two chosen neighbors of a core
-    seed), repeatedly adjoin any outside core vertex adjacent to the current
-    set together with one fresh neighbor, until no core vertex borders the
-    set. Choices resolve by ascending id.
+    seed), repeatedly adjoin the smallest outside core vertex adjacent to
+    the current set together with its smallest fresh neighbor, until no
+    core vertex borders the set.
     """
     if not classify(atom).is_atom:
         raise NotAtom("basic subtrees only grow inside atoms")
     if atom.order < 3:
         raise TooSmall("growing needs an atom with at least 3 vertices")
+    if seed not in atom.adj:
+        raise ValidationFailed(f"seed {seed} outside the atom")
     sc = support_core(atom)
-    supp, core = set(sc.support), set(sc.core)
-    avail = _within if _within is not None else frozenset(atom.vertices)
-    if seed not in avail:
-        raise ValidationFailed(f"seed {seed} outside the working set")
+    return _grow(atom, atom, seed, set(sc.support), set(sc.core))[0]
 
-    def h_neighbors(v: int) -> list[int]:
-        return [w for w in atom.adj[v] if w in avail]
 
+def _grow(
+    atom: Tree, h: Tree, seed: int, supp: set[int], core: set[int]
+) -> tuple[BasicSubtree, VertexVector]:
+    """grow_basic_subtree within h, the atom's subtree induced on h's vertices.
+
+    A heap holds every core vertex that has bordered the growing set. The set
+    only grows, so the smallest entry outside it is the smallest bordering
+    core vertex, the next joiner.
+    """
     if seed in core:
-        nbrs = h_neighbors(seed)
+        nbrs = h.adj[seed]
         if len(nbrs) < 2:
             raise ValidationFailed(f"core seed {seed} has fewer than 2 neighbors")
         b: set[int] = {nbrs[0], nbrs[1]}
@@ -134,16 +159,20 @@ def grow_basic_subtree(
     else:
         b = {seed}
         pending_core_seed = None
+    border = [u for v in b for u in h.adj[v] if u in core]
+    heapify(border)
 
-    while True:
-        joiner = None
-        for u in sorted(core & avail - b):
-            if any(w in b for w in atom.adj[u]):
-                joiner = u
-                break
-        if joiner is None:
-            break
-        inside = [w for w in h_neighbors(joiner) if w in b]
+    def adjoin(v: int) -> None:
+        b.add(v)
+        for u in h.adj[v]:
+            if u in core and u not in b:
+                heappush(border, u)
+
+    while border:
+        joiner = heappop(border)
+        if joiner in b:
+            continue
+        inside = [w for w in h.adj[joiner] if w in b]
         if len(inside) == 2:
             # only the core seed can touch the set twice (its chosen pair);
             # it joins alone, keeping degree two
@@ -151,20 +180,21 @@ def grow_basic_subtree(
                 raise ValidationFailed(
                     f"core {joiner} reached the growing set twice"
                 )
-            b.add(joiner)
+            adjoin(joiner)
             continue
         if len(inside) != 1:
             raise ValidationFailed(
                 f"core {joiner} borders the growing set {len(inside)} times"
             )
-        fresh_choices = [w for w in h_neighbors(joiner) if w not in b]
-        if not fresh_choices:
+        fresh = next((w for w in h.adj[joiner] if w not in b), None)
+        if fresh is None:
             raise ValidationFailed(f"core {joiner} has no fresh neighbor")
-        b.add(joiner)
-        b.add(min(fresh_choices))
+        adjoin(joiner)
+        adjoin(fresh)
 
-    adj = {v: tuple(w for w in atom.adj[v] if w in b) for v in sorted(b)}
-    return _basic(Tree._trusted(tuple(sorted(b)), adj), atom, supp, core)
+    verts = tuple(sorted(b))
+    adj = {v: tuple(w for w in h.adj[v] if w in b) for v in verts}
+    return _basic(Tree._trusted(verts, adj), atom, supp, core)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,111 +260,87 @@ def forest_basis(atom: Tree) -> ForestBasis:
         )
 
     used: set[int] = set()  # vertices already counted by some basic
-    basics: list[BasicSubtree] = []
-    vectors: list[VertexVector] = []
-    markers: list[dict[int, int]] = []
-
-    def emit(b: BasicSubtree, marker: dict[int, int]) -> None:
-        basics.append(b)
-        vectors.append(basic_vector(b))  # validates the kernel equations
-        markers.append(marker)
-
-    threads: deque[frozenset[int]] = deque([frozenset(atom.vertices)])
+    emitted: list[tuple[BasicSubtree, VertexVector, dict[int, int]]] = []
+    # a thread is the subtree of the atom induced on the vertices it covers
+    threads: deque[Tree] = deque([atom])
     while threads:
         h = threads.popleft()
 
-        def h_deg(v: int) -> int:
-            return sum(1 for w in atom.adj[v] if w in h)
-
-        def h_neighbor(v: int) -> int:
-            return next(w for w in atom.adj[v] if w in h)
-
         # (a) seed a basic subtree at the smallest supported vertex
-        seed = min(v for v in h if v in supp)
-        seeded = grow_basic_subtree(atom, seed, _within=h)
+        seed = min(v for v in h.vertices if v in supp)
+        seeded, seed_vector = _grow(atom, h, seed, supp, core)
         seed_row = {
             v: (-1 if v in core else 1)
             for v in seeded.tree.vertices
             if v not in used
         }
-        emit(seeded, seed_row)
+        emitted.append((seeded, seed_vector, seed_row))
         used.update(seeded.tree.vertices)
         round_used: set[int] = set(seeded.tree.vertices)
         current = seeded.tree
+        pendants = [
+            v for v in h.vertices if v in supp and v not in used and len(h.adj[v]) == 1
+        ]
 
-        # (b) pendant swaps: replace a pendant leaf of the latest basic with
-        # an uncovered sibling pendant hanging on the same core vertex
-        while True:
-            swap = None
-            for v in sorted(h):
-                if v not in supp or v in used or h_deg(v) != 1:
-                    continue
-                c = h_neighbor(v)
-                for leaf in sorted(current.vertices):
-                    if (
-                        leaf in supp
-                        and h_deg(leaf) == 1
-                        and leaf != v
-                        and h_neighbor(leaf) == c
-                        and current.degree(leaf) == 1
-                    ):
-                        swap = (v, leaf, c)
-                        break
-                if swap:
-                    break
-            if not swap:
-                break
-            v, leaf, c = swap
+        # (b) pendant swaps: replace the smallest pendant leaf of the latest
+        # basic on core c with an uncovered sibling pendant on c. A swap keeps
+        # c's leaves at the same count and no other core's, so whether a
+        # pendant can swap is fixed by the seed: one ascending pass suffices.
+        leaves_on: dict[int, list[int]] = {}  # core -> sorted leaves of current
+        for v in current.vertices:
+            if v in supp and len(h.adj[v]) == 1 and len(current.adj[v]) == 1:
+                leaves_on.setdefault(h.adj[v][0], []).append(v)
+        for v in pendants:
+            c = h.adj[v][0]
+            leaves = leaves_on.get(c)
+            if not leaves:
+                continue
+            leaf = leaves[0]
+            leaves[0] = v
+            leaves.sort()
             edges = [e for e in current.edges() if leaf not in e]
             edges.append((min(v, c), max(v, c)))
-            nxt = _basic(Tree(edges), atom, supp, core)
-            emit(nxt, {v: 1})
+            nxt, vec = _basic(Tree(edges), atom, supp, core)
+            emitted.append((nxt, vec, {v: 1}))
             used.add(v)
             round_used.add(v)
             current = nxt.tree
 
         # (c) grafts: an uncovered pendant whose neighbor is a core vertex of
         # the seed gets that core plus one branch of the seed
-        while True:
-            graft = None
-            for v in sorted(h):
-                if v not in supp or v in used or h_deg(v) != 1:
-                    continue
-                x = h_neighbor(v)
-                if x in core and x in seeded.tree:
-                    graft = (v, x)
-                    break
-            if not graft:
-                break
-            v, x = graft
-            w = min(seeded.tree.adj[x])
+        for v in pendants:
+            x = h.adj[v][0]
+            if v in used or x not in core or x not in seeded.tree.adj:
+                continue
+            w = seeded.tree.adj[x][0]
             branch = seeded.tree.subtree_toward(x, w)
             edges = list(branch.edges()) + [(min(x, w), max(x, w)), (min(x, v), max(x, v))]
-            emit(_basic(Tree(edges), atom, supp, core), {v: 1})
+            emitted.append((*_basic(Tree(edges), atom, supp, core), {v: 1}))
             used.add(v)
             round_used.add(v)
 
-        # (d)-(g) recurse into what is left, towing a seed branch along
-        for comp in components(atom.adj, h - round_used):
+        # (d)-(g) recurse into what is left, towing a seed branch along; the
+        # one boundary edge is the only edge between the two
+        for comp in components(h.adj, set(h.vertices) - round_used):
             boundary = [
-                (v, w)
-                for v in comp.vertices
-                for w in atom.adj[v]
-                if w in h and w not in comp
+                (v, w) for v in comp.vertices for w in h.adj[v] if w not in comp.adj
             ]
             if len(boundary) != 1:
                 raise ValidationFailed(
                     f"component has {len(boundary)} boundary edges, expected 1"
                 )
             entry, out = boundary[0]
-            if out not in core or out not in seeded.tree:
+            if out not in core or out not in seeded.tree.adj:
                 raise ValidationFailed(
                     "component does not hang on a core vertex of the seed"
                 )
-            x = min(seeded.tree.adj[out])
-            branch = seeded.tree.subtree_toward(x, out)
-            threads.append(frozenset(comp.vertices + branch.vertices))
+            branch = seeded.tree.subtree_toward(seeded.tree.adj[out][0], out)
+            adj = {**comp.adj, **branch.adj}
+            adj[entry] = tuple(sorted(comp.adj[entry] + (out,)))
+            adj[out] = tuple(sorted(branch.adj[out] + (entry,)))
+            threads.append(Tree._trusted(tuple(sorted(adj)), adj))
 
+    basics, vectors, markers = zip(*emitted)
     expect = len(supp) - len(core)
     if len(vectors) != expect:
         raise ValidationFailed(
@@ -345,11 +351,7 @@ def forest_basis(atom: Tree) -> ForestBasis:
         raise SpanMismatch(f"{len(vectors)} basics for a kernel of dimension {nullity}")
     exact.peel_independent(vectors)
     return ForestBasis(
-        host=atom,
-        basics=tuple(basics),
-        vectors=tuple(vectors),
-        columns=cols,
-        markers=tuple(markers),
+        host=atom, basics=basics, vectors=vectors, columns=cols, markers=markers
     )
 
 

@@ -111,9 +111,6 @@ class Tree:
             )
         return self._edges
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self.adj and v in self.adj[u]
-
     # -- geometry ---------------------------------------------------------
 
     def path(self, u: int, v: int) -> list[int]:
@@ -275,9 +272,6 @@ class VertexVector:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.entries))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, VertexVector)
@@ -291,22 +285,6 @@ class VertexVector:
     def __repr__(self) -> str:
         terms = " ".join(f"{'+' if c > 0 else '-'}{abs(c)}*e{v}" for v, c in sorted(self.entries.items()))
         return f"VertexVector({terms or '0'})"
-
-    def __add__(self, other: "VertexVector") -> "VertexVector":
-        if self.domain != other.domain:
-            raise DomainMismatch("vector domains differ")
-        out = dict(self.entries)
-        for v, c in other.entries.items():
-            out[v] = out.get(v, 0) + c
-        return VertexVector(self.domain, out)
-
-    def __sub__(self, other: "VertexVector") -> "VertexVector":
-        return self + (other * -1)
-
-    def __mul__(self, c: Rational) -> "VertexVector":
-        return VertexVector(self.domain, {v: c * x for v, x in self.entries.items()})
-
-    __rmul__ = __mul__
 
 
 def _in_domain(dom: tuple[int, ...], v: int) -> bool:

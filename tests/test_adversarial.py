@@ -67,11 +67,22 @@ def test_large_shape_against_oracle(shape):
 
 # The builders prove their bases by count, membership and peeling, with no
 # elimination, so they stay fast on the shapes the oracle finds slow.
-@pytest.mark.parametrize("shape", ["spider"])
+@pytest.mark.parametrize("shape", ["star", "spider"])
 def test_large_null_basis_proves_itself(shape):
     t = SHAPES[shape]()
     nb = tree_null_basis(t)  # raises unless count, membership and peeling hold
     assert len(nb) == t.order - 2 * matching_number(t)
+
+
+# Growing the null basis costs about the size of its output, so trees of 10^5
+# vertices take seconds.
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", ["star", "spider"])
+def test_null_basis_of_1e5_vertices(shape):
+    t = star_tree(99_999) if shape == "star" else spider(33_333, 3)
+    assert t.order == 100_000
+    nu = matching_number(t)
+    assert len(tree_null_basis(t)) == t.order - 2 * nu
 
 
 @pytest.mark.parametrize("shape", ["star", "spider"])

@@ -267,3 +267,32 @@ def test_witness_membership_is_sound(t, data):
     x = VertexVector(t.vertices, entries)
     assert in_column_space_by_witness(t, deficient, x, y)
     assert in_column_space(t, [x])
+
+
+@given(t=relabeled_trees())
+@settings(max_examples=150, deadline=None)
+def test_emitted_subtrees_classify_basic(t):
+    # the builder proves basics from their shape and vector alone; the
+    # matching-based classification is the oracle
+    for a in atom_set(t).atoms:
+        if a.order > 1:
+            assert all(classify(b.tree).is_basic for b in forest_basis(a).basics)
+
+
+@given(t=relabeled_trees())
+@settings(max_examples=150, deadline=None)
+def test_marker_rows_count_each_vertex_once(t):
+    # each row is the signed indicator (-1 on core) of the vertices its basic
+    # covers first, and sums to +1: a swap or graft row is a single +1, and a
+    # seed row first covers one more supported vertex than core ones, which
+    # is what the peeling argument in forest_basis needs
+    for a in atom_set(t).atoms:
+        fb = forest_basis(a)
+        core = set(support_core(a).core)
+        covered = set()
+        for b, row in zip(fb.basics, fb.markers):
+            fresh = [v for v in b.tree.vertices if v not in covered]
+            assert row == {v: (-1 if v in core else 1) for v in fresh}
+            assert sum(row.values()) == 1
+            covered.update(fresh)
+        assert sorted(v for row in fb.markers for v in row) == list(a.vertices)

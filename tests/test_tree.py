@@ -29,8 +29,6 @@ class TestTreeConstruction:
         assert t.edges() == ((1, 2), (2, 3))
         assert t.neighbors(2) == (1, 3)
         assert t.degree(2) == 2
-        assert t.has_edge(3, 2)
-        assert not t.has_edge(1, 3)
 
     def test_rejects_cycle(self):
         with pytest.raises(NotATree):
@@ -75,7 +73,7 @@ class TestTreeQueries:
     def test_subtree_toward(self, tree8):
         sub = tree8.subtree_toward(1, 5)
         assert sub.vertices == (5, 6, 7, 8)
-        assert sub.has_edge(6, 7)
+        assert sub.edges() == ((5, 6), (6, 7), (6, 8))
         whole = tree8.subtree_toward(3, 3)
         assert whole.vertices == tree8.vertices
 
@@ -107,16 +105,6 @@ class TestVertexVector:
         assert x[3] == 2 and x[2] == 0
         with pytest.raises(DomainMismatch):
             VertexVector((3, 1, 2), {4: 1})
-
-    def test_algebra(self):
-        dom = (1, 2, 3)
-        x = VertexVector.unit(dom, 1)
-        y = VertexVector.unit(dom, 2)
-        s = x + y
-        assert s.entries == {1: 1, 2: 1}
-        assert (s - x).entries == {2: 1}
-        assert (2 * x).entries == {1: 2}
-        assert (x - x).is_zero()
 
     def test_indicator(self):
         x = VertexVector.indicator((1, 2, 3), (1, 3))
