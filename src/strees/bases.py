@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable
 
 from . import exact, matching
 from .decomposition import atom_set, classify, support_core
@@ -458,13 +457,3 @@ def tree_range_basis(t: Tree) -> RangeBasis:
         vectors=tuple(p[0] for p in pairs),
         roles=tuple(p[1] for p in pairs),
     )
-
-
-def vectors_to_json(vectors: Iterable[VertexVector]) -> list:
-    """Sparse JSON form: per vector, a list of {vertex, coeff} entries."""
-    out = []
-    for x in vectors:
-        out.append(
-            [{"vertex": v, "coeff": int(x.entries[v])} for v in x.support()]
-        )
-    return out

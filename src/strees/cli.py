@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 domain or usage error, 2 verification failure.
 Output is byte-deterministic for identical input and flags: JSON is emitted
 with sorted keys, all vertex lists are sorted, and text lines follow the
-underlying sorted structures.
+underlying sorted structures. JSON is byte for byte what json.dumps(obj,
+sort_keys=True, indent=2) writes, from a writer that skips the pure-Python
+encoder any indent selects and writes exact counts of any size in full.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cache
 from typing import Sequence
 
 from . import exact
-from .bases import tree_null_basis, tree_range_basis, vectors_to_json
+from .bases import tree_null_basis, tree_range_basis
 from .decomposition import (
     atom_set,
     atom_set_to_json,
@@ -32,6 +34,7 @@ from .ops import CoalescencePlan, s_coalescence, stellare
 from .tree import (
     Tree,
     VertexVector,
+    int_text,
     parse_tree,
     tree_from_json,
     tree_to_edge_text,
@@ -116,8 +119,47 @@ def _read_tree(args) -> Tree:
     return parse_tree(_read_source(args))
 
 
+_str_text = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it at indent pad.
+
+    Dict keys are str. A VertexVector is written as its sparse list of
+    {"coeff", "vertex"} entries in vertex order.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int_text(obj)
+    if kind is str:
+        return _str_text(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = pad + "  "
+    brackets = "[]"
+    if kind is VertexVector:
+        items = [
+            f'{{\n{inner}  "coeff": {int(obj.entries[v])},\n{inner}  "vertex": {v}\n{inner}}}'
+            for v in obj.support()
+        ]
+    elif kind is list or kind is tuple:
+        if all(type(x) is int for x in obj):
+            items = map(int_text, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+    elif kind is dict:
+        brackets = "{}"
+        items = [f"{_str_text(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if body else brackets
+
+
 def _json_out(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _json_text(obj, "") + "\n"
 
 
 def _fmt_vector(x: VertexVector) -> str:
@@ -176,7 +218,7 @@ def _run_null_basis(args) -> str:
     t = _read_tree(args)
     vectors = tree_null_basis(t)
     if args.format == "json":
-        return _json_out({"vectors": vectors_to_json(vectors)})
+        return _json_out({"vectors": vectors})
     if not vectors:
         return "null space is trivial\n"
     return "\n".join(_fmt_vector(x) for x in vectors) + "\n"
@@ -186,9 +228,7 @@ def _run_range_basis(args) -> str:
     t = _read_tree(args)
     rb = tree_range_basis(t)
     if args.format == "json":
-        return _json_out(
-            {"vectors": vectors_to_json(rb.vectors), "roles": list(rb.roles)}
-        )
+        return _json_out({"vectors": rb.vectors, "roles": rb.roles})
     if not rb.vectors:
         return "column space is trivial\n"
     return (
@@ -216,20 +256,20 @@ def _run_invariants(args) -> str:
     }
     if args.format == "json":
         return _json_out(obj)
-    lines = [f"{k}: {obj[k]}" for k in obj if k != "checks"]
+    lines = [f"{k}: {int_text(obj[k])}" for k in obj if k != "checks"]
     lines += [f"check {name}: pass" for name in rep.checks]
     return "\n".join(lines) + "\n"
 
 
 def _run_classify(args) -> str:
     t = _read_tree(args)
-    kern = exact.tree_kernel(t)
+    rank = exact.tree_rank(t)
     sc = support_core(t)
     cls = classify(t)
     obj = {
         "order": t.order,
-        "rank": t.order - len(kern),
-        "nullity": len(kern),
+        "rank": rank,
+        "nullity": t.order - rank,
         "support_size": sc.support_size,
         "core_size": sc.core_size,
         "support_tree": cls.is_support_tree,
@@ -240,7 +280,7 @@ def _run_classify(args) -> str:
     }
     if args.format == "json":
         return _json_out(obj)
-    return "".join(f"{k}: {str(v).lower() if isinstance(v, bool) else v}\n" for k, v in obj.items())
+    return "".join(f"{k}: {str(v).lower() if isinstance(v, bool) else int_text(v)}\n" for k, v in obj.items())
 
 
 def _parse_ks(text: str) -> list[int]:

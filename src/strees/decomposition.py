@@ -198,8 +198,8 @@ def invariant_report(t: Tree) -> InvariantReport:
     not a property of the input.
     """
     dec = decompose(t)
-    nullity = len(exact.tree_kernel(t))
-    rank = t.order - nullity
+    rank = exact.tree_rank(t)
+    nullity = t.order - rank
     nu, m_count = matching.matching_number_and_count(t)
     alpha = matching.independence_number(t)
     supp_size = len(dec.support)

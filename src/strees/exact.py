@@ -18,7 +18,9 @@ The basis builders prove their families without eliminating anything:
 peel_independent proves a family independent by a triangular submatrix,
 and in_column_space_by_witness proves a vector in the column space from a
 preimage and the set that holds the kernel's support. Elimination stays as
-the independent oracle (tree_kernel, rank_of_vectors, span_equal).
+the independent oracle (tree_kernel, tree_rank, rank_of_vectors,
+span_equal); tree_rank serves callers that need only a count, so it stops
+after forward elimination.
 """
 
 from __future__ import annotations
@@ -201,8 +203,10 @@ def tree_kernel(t: Tree) -> tuple[VertexVector, ...]:
     )
 
 
+@per_tree
 def tree_rank(t: Tree) -> int:
-    return t.order - len(tree_kernel(t))
+    """Rank of the adjacency matrix: tree_kernel's elimination, forward only."""
+    return _eliminate([{w: 1 for w in t.adj[v]} for v in t.vertices])[1]
 
 
 def _same_domain(d: tuple[int, ...], e: tuple[int, ...]) -> bool:

@@ -26,7 +26,7 @@ from .errors import (
     NotSupported,
     SpanMismatch,
 )
-from .tree import Edge, Tree, VertexVector
+from .tree import Edge, Tree, VertexVector, int_text
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def stellare_invariants(t: Tree, ks: Sequence[int]) -> StellareReport:
     big = res.tree
     n = t.order
     total = sum(ks)
-    vecs = exact.tree_kernel(big)
+    rank = exact.tree_rank(big)
     sc = support_core(big)
     nu, m_count = matching.matching_number_and_count(big)
     alpha = matching.independence_number(big)
@@ -110,16 +110,16 @@ def stellare_invariants(t: Tree, ks: Sequence[int]) -> StellareReport:
         prod *= k
     pendants = tuple(sorted(set(big.vertices) - set(t.vertices)))
     failures = []
-    if len(vecs) != total - n:
-        failures.append(f"nullity {len(vecs)} != {total - n}")
-    if big.order - len(vecs) != 2 * n:
-        failures.append(f"rank {big.order - len(vecs)} != {2 * n}")
+    if big.order - rank != total - n:
+        failures.append(f"nullity {big.order - rank} != {total - n}")
+    if rank != 2 * n:
+        failures.append(f"rank {rank} != {2 * n}")
     if alpha != total:
         failures.append(f"independence {alpha} != {total}")
     if nu != n:
         failures.append(f"matching {nu} != {n}")
     if m_count != prod:
-        failures.append(f"matching count {m_count} != {prod}")
+        failures.append(f"matching count {int_text(m_count)} != {int_text(prod)}")
     if gamma != n:
         failures.append(f"domination {gamma} != {n}")
     if sc.core != t.vertices:
@@ -267,14 +267,14 @@ def coalescence_invariants(plan: CoalescencePlan) -> CoalescenceReport:
     k = len(plan.parts)
     part_scs = [support_core(part) for part, _ in plan.parts]
     part_reports = [matching.matching_number_and_count(part) for part, _ in plan.parts]
-    part_nullities = [len(exact.tree_kernel(part)) for part, _ in plan.parts]
+    part_nullities = [part.order - exact.tree_rank(part) for part, _ in plan.parts]
     part_alphas = [matching.independence_number(part) for part, _ in plan.parts]
 
     sc = support_core(big)
     nu, m_count = matching.matching_number_and_count(big)
     alpha = matching.independence_number(big)
-    nullity = len(exact.tree_kernel(big))
-    rank = big.order - nullity
+    rank = exact.tree_rank(big)
+    nullity = big.order - rank
 
     expect_core = sorted(
         res.relabel[(idx, v)]

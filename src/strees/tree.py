@@ -341,6 +341,16 @@ def parse_tree(text: str) -> Tree:
     return Tree(edges, vertices=singles)
 
 
+def int_text(n: int) -> str:
+    """Decimal text of n, also past CPython's 4,300-digit int-to-str cap."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
 def tree_to_edge_text(t: Tree) -> str:
     if t.order == 1:
         return f"{t.vertices[0]}\n"

@@ -26,7 +26,7 @@ from .matching import (
     matching_number,
     matching_number_and_count,
 )
-from .tree import Tree, VertexVector
+from .tree import Tree, VertexVector, int_text
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def check_tree(
     check(
         "matching_count_product",
         m_count == product,
-        f"DP {m_count}, product over atoms {product}",
+        f"DP {int_text(m_count)}, product over atoms {int_text(product)}",
     )
 
     if with_brute and t.order <= brute_limit:
@@ -151,7 +151,7 @@ def check_tree(
         check(
             "matching_count_brute",
             m_count == oracle.max_matching_count,
-            f"DP {m_count}, brute {oracle.max_matching_count}",
+            f"DP {int_text(m_count)}, brute {int_text(oracle.max_matching_count)}",
         )
         check("independence_number_brute", alpha == oracle.independence_number)
         forbidden = set(dec.connection_edges) | set(ats.bond_edges)

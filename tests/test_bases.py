@@ -12,7 +12,6 @@ from strees.bases import (
     marker_rows_csv,
     tree_null_basis,
     tree_range_basis,
-    vectors_to_json,
 )
 from strees.decomposition import atom_set
 from strees.errors import NotAtom, TooSmall, ValidationFailed
@@ -192,13 +191,6 @@ class TestTreeNullBasis:
     def test_tree6_lifted(self, tree6):
         nb = tree_null_basis(tree6)
         assert [entries(x) for x in nb] == [{1: 1, 3: -1}, {4: 1, 6: -1}]
-
-    def test_json_form(self, tree6):
-        obj = vectors_to_json(tree_null_basis(tree6))
-        assert obj == [
-            [{"vertex": 1, "coeff": 1}, {"vertex": 3, "coeff": -1}],
-            [{"vertex": 4, "coeff": 1}, {"vertex": 6, "coeff": -1}],
-        ]
 
 
 class TestRangeBases:

@@ -6,10 +6,10 @@ from strees import exact
 from strees.bases import tree_null_basis, tree_range_basis
 from strees.cli import main
 from strees.decomposition import atom_set, decompose, invariant_report
-from strees.fixtures import fixture_path, star_tree
+from strees.fixtures import FIXTURE_NAMES, fixture_path, star_tree
 from strees.generators import random_tree
-from strees.ops import stellare_bases
-from strees.tree import Tree, tree_to_edge_text
+from strees.ops import CoalescencePlan, coalescence_invariants, stellare_bases
+from strees.tree import Tree, parse_tree, tree_to_edge_text
 
 
 def test_same_object_per_tree(tree18):
@@ -82,6 +82,34 @@ def test_bases_eliminate_nothing(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
     stellare_bases(random_tree(12, 3), [2, 3] * 6)
     assert calls == []
+
+
+def test_counts_eliminate_forward_once(capsys, monkeypatch, tmp_path):
+    # invariants and classify print counts only: one forward elimination
+    # per tree, and no back-substitution into a kernel
+    spider = tmp_path / "spider.edges"
+    spider.write_text(tree_to_edge_text(Tree(SPIDER)))
+    widths = _count_kernel_rows(monkeypatch)
+    calls = []
+    orig = exact._eliminate
+
+    def counting(rows):
+        calls.append(len(rows))
+        return orig(rows)
+
+    monkeypatch.setattr(exact, "_eliminate", counting)
+    paths = [fixture_path(name) for name in FIXTURE_NAMES]
+    paths += [_star_file(tmp_path), str(spider)]
+    for path in paths:
+        order = parse_tree(open(path).read()).order
+        for cmd in ("invariants", "classify"):
+            calls.clear()
+            assert main([cmd, path, "--format", "json"]) == 0
+            assert calls == [order], (cmd, path)
+    capsys.readouterr()
+    plan = CoalescencePlan(((random_tree(9, 1), 1), (star_tree(4), 1), (Tree(SPIDER), 1)))
+    coalescence_invariants(plan)
+    assert widths == []
 
 
 def test_cached_structure_leaves_no_cycles():

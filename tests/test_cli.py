@@ -1,10 +1,14 @@
 import json
+from decimal import Decimal
 
 import pytest
+from test_adversarial import caterpillar
 
 from strees.cli import main
 from strees.errors import SpanMismatch
 from strees.fixtures import FIXTURE_NAMES, fixture_path
+from strees.tree import tree_to_edge_text
+from strees.verify import check_tree
 
 
 def run(capsys, *argv):
@@ -216,3 +220,35 @@ class TestDeterminism:
         first = run(capsys, "decompose", fixture_path(name), "--format", "json")
         second = run(capsys, "decompose", fixture_path(name), "--format", "json")
         assert first == second
+
+
+class TestHugeCounts:
+    """Counts past CPython's 4,300-digit cap on int-to-str conversion."""
+
+    @pytest.fixture(scope="class")
+    def caterpillar_file(self, tmp_path_factory):
+        # 3 leaves on each of 9,100 spine vertices: 3**9100 maximum matchings,
+        # a number of 4,342 digits
+        t = caterpillar(9_100, 3)
+        p = tmp_path_factory.mktemp("huge") / "caterpillar.edges"
+        p.write_text(tree_to_edge_text(t))
+        return t, str(p)
+
+    def test_invariants_json(self, capsys, caterpillar_file):
+        _, path = caterpillar_file
+        code, out, err = run(capsys, "invariants", path, "--format", "json")
+        assert code == 0, err
+        obj = json.loads(out, parse_int=Decimal)
+        assert obj["max_matching_count"] == 3**9100
+        assert obj["order"] == 36_400
+
+    def test_invariants_text(self, capsys, caterpillar_file):
+        _, path = caterpillar_file
+        code, out, err = run(capsys, "invariants", path)
+        assert code == 0, err
+        line = next(s for s in out.splitlines() if s.startswith("max_matching_count: "))
+        assert Decimal(line.split(": ")[1]) == 3**9100
+
+    def test_check_tree(self, caterpillar_file):
+        t, _ = caterpillar_file
+        assert check_tree(t, with_brute=False, with_bases=False).ok
