@@ -297,9 +297,13 @@ def forest_basis(atom: Tree) -> ForestBasis:
             leaf = leaves[0]
             leaves[0] = v
             leaves.sort()
-            edges = [e for e in current.edges() if leaf not in e]
-            edges.append((min(v, c), max(v, c)))
-            nxt, vec = _basic(Tree(edges), atom, supp, core)
+            if v in current.adj or c not in current.adj:
+                raise ValidationFailed(f"cannot swap pendant {v} onto core {c}")
+            adj = dict(current.adj)
+            del adj[leaf]
+            adj[v] = (c,)
+            adj[c] = tuple(sorted([w for w in adj[c] if w != leaf] + [v]))
+            nxt, vec = _basic(Tree._trusted(tuple(sorted(adj)), adj), atom, supp, core)
             emitted.append((nxt, vec, {v: 1}))
             used.add(v)
             round_used.add(v)
@@ -313,8 +317,14 @@ def forest_basis(atom: Tree) -> ForestBasis:
                 continue
             w = seeded.tree.adj[x][0]
             branch = seeded.tree.subtree_toward(x, w)
-            edges = list(branch.edges()) + [(min(x, w), max(x, w)), (min(x, v), max(x, v))]
-            emitted.append((*_basic(Tree(edges), atom, supp, core), {v: 1}))
+            if x in branch.adj or v in branch.adj:
+                raise ValidationFailed(f"cannot graft pendant {v} through core {x}")
+            adj = dict(branch.adj)
+            adj[w] = tuple(sorted(adj[w] + (x,)))
+            adj[x] = (w, v) if w < v else (v, w)
+            adj[v] = (x,)
+            grafted = Tree._trusted(tuple(sorted(adj)), adj)
+            emitted.append((*_basic(grafted, atom, supp, core), {v: 1}))
             used.add(v)
             round_used.add(v)
 

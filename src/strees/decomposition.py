@@ -7,8 +7,11 @@ so both come from one maximum matching (matching.deficient_set) with no
 linear algebra; check_tree compares them with the eliminated kernel.
 Removing the closed neighborhood of the support splits the tree into
 support parts (the components induced by the closed neighborhood) and
-nonsingular parts (the rest); the leftover edges are connection edges.
-Deleting core-core edges inside support parts yields the atoms.
+nonsingular parts (the rest); the connection edges have one end on each
+side. Cutting the core-core edges (bonds) of the closed support leaves the
+atoms, in one pass with no parts built. The counts need no parts either:
+the nonsingular parts hold the n - |support| - |core| vertices outside the
+closed support.
 """
 
 from __future__ import annotations
@@ -67,10 +70,7 @@ def decompose(t: Tree) -> NullDecomposition:
     else:
         s_parts = t.components_within(closed) if closed else []
         n_parts = t.components_within(set(t.vertices) - closed)
-    inside = {e for p in s_parts for e in p.edges()} | {
-        e for p in n_parts for e in p.edges()
-    }
-    connection = tuple(e for e in t.edges() if e not in inside)
+    connection = tuple(e for e in t.edges() if (e[0] in closed) != (e[1] in closed))
     part_classes = tuple(
         SupportCore(
             tuple(v for v in p.vertices if v in supp),
@@ -98,25 +98,16 @@ class AtomSet:
 
 @per_tree
 def atom_set(t: Tree) -> AtomSet:
-    """Atoms of every support part: pieces left after cutting core-core edges."""
-    dec = decompose(t)
-    supp = set(dec.support)
-    core = set(dec.core)
-    atoms: list[Tree] = []
-    bonds: list[Edge] = []
-    for part in dec.support_parts:
-        part_bonds = [e for e in part.edges() if e[0] in core and e[1] in core]
-        bonds.extend(part_bonds)
-        if not part_bonds:
-            atoms.append(part)
-            continue
-        cut = set(part_bonds)
-        keep_adj = {
-            v: tuple(w for w in part.adj[v] if (min(v, w), max(v, w)) not in cut)
-            for v in part.vertices
-        }
-        atoms.extend(components(keep_adj, part.vertices))
-    atoms.sort(key=lambda a: a.vertices[0])
+    """Atoms: the pieces of the closed support left after cutting core-core edges."""
+    sc = support_core(t)
+    supp = set(sc.support)
+    core = set(sc.core)
+    bonds = tuple((u, w) for u in sc.core for w in t.adj[u] if u < w and w in core)
+    if not bonds and len(supp) + len(core) == t.order:
+        atoms = [twin(t)]  # one atom, with what t has derived so far
+    else:
+        cut = {v: tuple(w for w in t.adj[v] if w in supp) for v in core}
+        atoms = components({**t.adj, **cut}, supp | core)
     classes = tuple(
         SupportCore(
             tuple(v for v in a.vertices if v in supp),
@@ -130,7 +121,7 @@ def atom_set(t: Tree) -> AtomSet:
     )
     return AtomSet(
         atoms=tuple(atoms),
-        bond_edges=tuple(sorted(bonds)),
+        bond_edges=bonds,
         atom_support_cores=classes,
         max_core_degrees=degrees,
     )
@@ -162,7 +153,7 @@ def classify(t: Tree) -> Classification:
     closed = supp | core
     is_s = len(closed) == t.order
     is_n = not supp
-    no_bond = not any(u in core and w in core for u, w in t.edges())
+    no_bond = not any(w in core for c in sc.core for w in t.adj[c])
     is_atom = is_s and no_bond
     mcd = max((t.degree(v) for v in core), default=0)
     is_basic = is_atom and t.order > 1 and mcd == 2
@@ -197,14 +188,15 @@ def invariant_report(t: Tree) -> InvariantReport:
     Raises FormulaMismatch if any identity fails; a failure here means a bug,
     not a property of the input.
     """
-    dec = decompose(t)
+    sc = support_core(t)
     rank = exact.tree_rank(t)
     nullity = t.order - rank
     nu, m_count = matching.matching_number_and_count(t)
     alpha = matching.independence_number(t)
-    supp_size = len(dec.support)
-    core_size = len(dec.core)
-    n_count = dec.nonsingular_vertex_count
+    supp_size = len(sc.support)
+    core_size = len(sc.core)
+    # the nonsingular parts partition the vertices outside the closed support
+    n_count = t.order - supp_size - core_size
     checks: list[tuple[str, bool]] = [
         ("rank_is_twice_matching", rank == 2 * nu),
         ("nullity_is_support_minus_core", nullity == supp_size - core_size),

@@ -1,7 +1,9 @@
 """Matching, independence, and domination numbers by rooted-tree DP.
 
-All programs root the tree at its smallest vertex id and run iteratively in
-post-order, so deep paths cannot hit the recursion limit. Counting uses
+Every program reads one rooted order per tree, kept on the tree (_rooted):
+the postorder from the smallest vertex id, and the parents. A DP folds each
+vertex into its parent's entry as the postorder reaches it, so it builds no
+children lists, and deep paths cannot hit the recursion limit. Counting uses
 (size, count) pairs with exact big integers.
 
 deficient_set reads the Gallai-Edmonds D-set (the vertices some maximum
@@ -30,6 +32,12 @@ def _postorder(adj: dict[int, tuple[int, ...]], root: int) -> tuple[list[int], d
     return order, parent
 
 
+@per_tree
+def _rooted(t: Tree) -> tuple[list[int], dict[int, int]]:
+    """Postorder and parents of t rooted at its smallest vertex; the root is its own parent."""
+    return _postorder(t.adj, t.vertices[0])
+
+
 # (size, count) pairs: merge alternatives by keeping the larger size and
 # adding counts on ties.
 SC = tuple[int, int]
@@ -43,58 +51,53 @@ def _sc_merge(a: SC, b: SC) -> SC:
     return (a[0], a[1] + b[1])
 
 
-_IMPOSSIBLE: SC = (-1, 0)  # below every real size; count 0 kills products
-
-
-def _matching_dp(adj: dict[int, tuple[int, ...]], root: int) -> SC:
+def _matching_dp(t: Tree) -> SC:
     """(nu, number of maximum matchings) of the tree, by post-order DP.
 
-    Per vertex, the best (size, count) with the vertex left free and with it
-    matched to a child. Matching v to child c changes the free optimum by
-    1 + (free[c] - best[c]) in size, and takes free[c]'s count in place of
-    best[c]'s. The children are folded in one at a time, so the counts of
-    the best choices are summed without dividing or keeping prefix products.
+    Per vertex, the best (size, count) with the vertex left free, and the
+    best size change and count with it matched to a child. Matching v to
+    child c changes the free optimum by 1 + (free[c] - best[c]) in size, and
+    takes free[c]'s count in place of best[c]'s. Each vertex is folded into
+    its parent's entry when the postorder reaches it, so the counts of the
+    best choices are summed without dividing or keeping prefix products.
     """
-    order, parent = _postorder(adj, root)
-    unmatched: dict[int, SC] = {}
-    matched: dict[int, SC] = {}
+    order, parent = _rooted(t)
+    # per vertex, over the children folded so far: size and count with v
+    # free, and size change and count with v matched to one of them
+    acc: dict[int, tuple[int, int, int | None, int]] = {}
     for v in order:
-        size, count = 0, 1  # children at their best, v free
-        gain, ways = None, 0  # v matched to a child: size change, count
-        for c in adj[v]:
-            if parent[c] != v:
-                continue
-            us, uc = unmatched[c]
-            bs, bc = _sc_merge(unmatched[c], matched[c])
-            ways *= bc
-            if gain is None or us - bs > gain:
-                gain, ways = us - bs, uc * count
-            elif us - bs == gain:
-                ways += uc * count
-            size += bs
-            count *= bc
-        unmatched[v] = (size, count)
-        matched[v] = _IMPOSSIBLE if gain is None else (1 + size + gain, ways)
-    return _sc_merge(unmatched[root], matched[root])
+        size, count, gain, ways = acc.pop(v, (0, 1, None, 0))
+        best = (size, count) if gain is None else _sc_merge((size, count), (1 + size + gain, ways))
+        p = parent[v]
+        if p != v:
+            psize, pcount, pgain, pways = acc.get(p, (0, 1, None, 0))
+            bs, bc = best
+            pways *= bc
+            if pgain is None or size - bs > pgain:
+                pgain, pways = size - bs, count * pcount
+            elif size - bs == pgain:
+                pways += count * pcount
+            acc[p] = (psize + bs, pcount * bc, pgain, pways)
+    return best  # the root's: it comes last
 
 
 def matching_number(t: Tree) -> int:
     """Size of a maximum matching."""
-    return _matching_dp(t.adj, t.vertices[0])[0]
+    return _matching_dp(t)[0]
 
 
 def count_maximum_matchings(t: Tree) -> int:
     """Number of maximum matchings, exact."""
-    return _matching_dp(t.adj, t.vertices[0])[1]
+    return _matching_dp(t)[1]
 
 
 def matching_number_and_count(t: Tree) -> tuple[int, int]:
-    return _matching_dp(t.adj, t.vertices[0])
+    return _matching_dp(t)
 
 
 def matching_number_within(t: Tree, keep: Iterable[int]) -> int:
     """Matching number of the induced subgraph on `keep` (a forest)."""
-    return sum(_matching_dp(c.adj, c.vertices[0])[0] for c in components(t.adj, keep))
+    return sum(_matching_dp(c)[0] for c in components(t.adj, keep))
 
 
 def matching_number_excluding(t: Tree, v: int) -> int:
@@ -114,7 +117,7 @@ def deficient_set(t: Tree) -> tuple[tuple[int, ...], int]:
     exposed vertex at odd distance would end an augmenting path; the search
     raises on one, so it also certifies the matching maximum.
     """
-    order, parent = _postorder(t.adj, t.vertices[0])
+    order, parent = _rooted(t)
     mate: dict[int, int] = {}
     for v in order:
         p = parent[v]
@@ -138,40 +141,39 @@ def deficient_set(t: Tree) -> tuple[tuple[int, ...], int]:
 
 def independence_number(t: Tree) -> int:
     """Size of a maximum independent set, by direct DP."""
-    order, parent = _postorder(t.adj, t.vertices[0])
-    excl: dict[int, int] = {}
-    incl: dict[int, int] = {}
+    order, parent = _rooted(t)
+    excl = dict.fromkeys(order, 0)  # best with v out, over the children folded so far
+    incl = dict.fromkeys(order, 1)  # best with v in
     for v in order:
-        children = [w for w in t.adj[v] if parent[w] == v]
-        excl[v] = sum(max(excl[c], incl[c]) for c in children)
-        incl[v] = 1 + sum(excl[c] for c in children)
-    r = t.vertices[0]
+        p = parent[v]
+        if p != v:
+            excl[p] += max(excl[v], incl[v])
+            incl[p] += excl[v]
+    r = order[-1]
     return max(excl[r], incl[r])
 
 
 def domination_number(t: Tree) -> int:
     """Size of a minimum dominating set."""
-    order, parent = _postorder(t.adj, t.vertices[0])
+    order, parent = _rooted(t)
     big = t.order + 1  # sentinel for impossible states
-    in_set: dict[int, int] = {}
-    covered: dict[int, int] = {}  # v not in set, dominated from below
-    open_: dict[int, int] = {}  # v not in set, waiting for its parent
+    # sums over the children folded so far
+    in_set = dict.fromkeys(order, 1)  # v in the set: 1 + each child's cheapest state
+    open_ = dict.fromkeys(order, 0)  # v waits for its parent: children covered below
+    settled = dict.fromkeys(order, 0)  # each child in the set or covered below
+    # v covered: settled plus the least extra cost of one child in the set;
+    # big while v has no child
+    extra = dict.fromkeys(order, big)
     for v in order:
-        children = [w for w in t.adj[v] if parent[w] == v]
-        in_set[v] = 1 + sum(min(in_set[c], covered[c], open_[c]) for c in children)
-        # v open: no child may be in the set, children dominated below
-        open_[v] = min(sum(covered[c] for c in children), big)
-        # v covered: some child in the set, the rest settled either way
-        if children:
-            base = sum(min(in_set[c], covered[c]) for c in children)
-            if all(covered[c] < in_set[c] for c in children):
-                base += min(in_set[c] - covered[c] for c in children)
-            covered[v] = min(base, big)
-        else:
-            covered[v] = big
-        in_set[v] = min(in_set[v], big)
-    r = t.vertices[0]
-    return min(in_set[r], covered[r])
+        inc = min(in_set[v], big)
+        cov = min(settled[v] + extra[v], big)
+        p = parent[v]
+        if p != v:
+            in_set[p] += min(inc, cov, open_[v])
+            open_[p] += cov
+            settled[p] += min(inc, cov)
+            extra[p] = min(extra[p], max(inc - cov, 0))
+    return min(inc, cov)  # the root's: it comes last
 
 
 @dataclass(frozen=True)

@@ -33,16 +33,23 @@ class Tree:
                 u, v = e
             except (TypeError, ValueError):
                 raise NotATree(f"not an edge pair: {e!r}")
-            if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
-                raise NotATree(f"vertex ids must be integers: {e!r}")
+            if type(u) is not int or type(v) is not int:
+                if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
+                    raise NotATree(f"vertex ids must be integers: {e!r}")
             if u < 0 or v < 0:
                 raise NotATree(f"vertex ids must be non-negative: {e!r}")
             if u == v:
                 raise NotATree(f"self-loop at {u}")
-            if u in adj and v in adj[u]:
+            au = adj.get(u)
+            if au is None:
+                au = adj[u] = set()
+            elif v in au:
                 raise NotATree(f"duplicate edge {{{u},{v}}}")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            av = adj.get(v)
+            if av is None:
+                av = adj[v] = set()
+            au.add(v)
+            av.add(u)
             n_edges += 1
         for v in vs:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -224,9 +231,9 @@ def per_tree(fn: Callable[[Tree], T]) -> Callable[[Tree], T]:
 def twin(t: Tree) -> Tree:
     """A new Tree object equal to t that starts with what t has derived so far.
 
-    A support part spanning its whole tree is such a twin, so its kernel is
-    not eliminated a second time. Cached values never refer back to their
-    own tree, so the twin holds no reference to t and t none to it.
+    A support part or atom spanning its whole tree is such a twin, so its
+    kernel is not eliminated a second time. Cached values never refer back
+    to their own tree, so the twin holds no reference to t and t none to it.
     """
     u = Tree._trusted(t.vertices, t.adj)
     u._memo.update(t._memo)
@@ -319,21 +326,21 @@ def parse_tree(text: str) -> Tree:
         return tree_from_json(obj)
     edges: list[Edge] = []
     singles: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
         try:
+            if len(parts) == 2:
+                edges.append((int(parts[0]), int(parts[1])))
+                continue
             nums = [int(p) for p in parts]
         except ValueError:
-            raise ParseError(f"line {lineno}: expected integers, got {line!r}")
+            raise ParseError(f"line {lineno}: expected integers, got {line.strip()!r}")
         if len(nums) == 1:
             singles.append(nums[0])
-        elif len(nums) == 2:
-            edges.append((nums[0], nums[1]))
-        else:
-            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+        elif nums:
+            raise ParseError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
     if any(v < 0 for v in singles) or any(u < 0 or v < 0 for u, v in edges):
         raise ParseError("vertex ids must be non-negative")
     if not edges and not singles:

@@ -2,7 +2,7 @@
 
 import gc
 
-from strees import exact
+from strees import decomposition, exact, matching
 from strees.bases import tree_null_basis, tree_range_basis
 from strees.cli import main
 from strees.decomposition import atom_set, decompose, invariant_report
@@ -110,6 +110,37 @@ def test_counts_eliminate_forward_once(capsys, monkeypatch, tmp_path):
     plan = CoalescencePlan(((random_tree(9, 1), 1), (star_tree(4), 1), (Tree(SPIDER), 1)))
     coalescence_invariants(plan)
     assert widths == []
+
+
+def test_counts_build_no_parts(capsys, monkeypatch, tmp_path):
+    # counts and atoms come from the support and core: no decompose call,
+    # and one rooted order per tree and per atom other than the tree itself
+    spider = tmp_path / "spider.edges"
+    spider.write_text(tree_to_edge_text(Tree(SPIDER)))
+    paths = [fixture_path(name) for name in FIXTURE_NAMES]
+    paths += [_star_file(tmp_path), str(spider)]
+    decomposes, roots = [], []
+    orig_decompose, orig_postorder = decomposition.decompose, matching._postorder
+
+    def counting_decompose(t):
+        decomposes.append(t.order)
+        return orig_decompose(t)
+
+    def counting_postorder(adj, root):
+        roots.append(len(adj))
+        return orig_postorder(adj, root)
+
+    monkeypatch.setattr(decomposition, "decompose", counting_decompose)
+    monkeypatch.setattr(matching, "_postorder", counting_postorder)
+    for path in paths:
+        t = parse_tree(open(path).read())
+        proper = [a.order for a in atom_set(t).atoms if a.order < t.order]
+        for cmd, expect in (("invariants", [t.order] + proper), ("classify", [t.order])):
+            roots.clear()
+            assert main([cmd, path, "--format", "json"]) == 0
+            assert sorted(roots) == sorted(expect), (cmd, path)
+    capsys.readouterr()
+    assert decomposes == []
 
 
 def test_cached_structure_leaves_no_cycles():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
 from strees.decomposition import (
+    SupportCore,
     atom_set,
     atom_set_to_json,
     bouquet,
@@ -13,7 +15,10 @@ from strees.decomposition import (
 )
 from strees.errors import NotCoreVertex
 from strees.fixtures import path_tree, star_tree
-from strees.tree import Tree
+from strees.generators import enumerate_trees, random_s_tree, random_tree
+from strees.ops import CoalescencePlan, s_coalescence, stellare
+from strees.tree import Tree, components
+from test_properties import relabeled_trees
 
 
 class TestSupportCore:
@@ -114,6 +119,72 @@ class TestAtoms:
         obj = atom_set_to_json(atom_set(tree6))
         assert obj["atoms"] == [[1, 2, 3], [4, 5, 6]]
         assert obj["bond_edges"] == [[2, 5]]
+
+
+def reference_atom_set(t):
+    """Atoms the long way: decompose, then cut the core-core edges of each
+    support part; also the connection edges as those inside no part."""
+    dec = decompose(t)
+    supp, core = set(dec.support), set(dec.core)
+    atoms, bonds = [], []
+    for part in dec.support_parts:
+        part_bonds = [e for e in part.edges() if e[0] in core and e[1] in core]
+        bonds.extend(part_bonds)
+        cut = set(part_bonds)
+        keep_adj = {
+            v: tuple(w for w in part.adj[v] if (min(v, w), max(v, w)) not in cut)
+            for v in part.vertices
+        }
+        atoms.extend(components(keep_adj, part.vertices))
+    atoms.sort(key=lambda a: a.vertices[0])
+    classes = [
+        SupportCore(
+            tuple(v for v in a.vertices if v in supp),
+            tuple(v for v in a.vertices if v in core),
+        )
+        for a in atoms
+    ]
+    degrees = [max((a.degree(v) for v in c.core), default=0) for a, c in zip(atoms, classes)]
+    inside = {e for p in dec.support_parts + dec.nonsingular_parts for e in p.edges()}
+    connection = [e for e in t.edges() if e not in inside]
+    return atoms, sorted(bonds), classes, degrees, connection
+
+
+def assert_atoms_match_reference(t):
+    atoms, bonds, classes, degrees, connection = reference_atom_set(t)
+    ats = atom_set(t)
+    assert [(a.vertices, a.adj) for a in ats.atoms] == [(a.vertices, a.adj) for a in atoms]
+    assert list(ats.bond_edges) == bonds
+    assert list(ats.atom_support_cores) == classes
+    assert list(ats.max_core_degrees) == degrees
+    assert list(decompose(t).connection_edges) == connection
+
+
+class TestAtomsAgainstReference:
+    def test_every_labeled_tree_to_order_7(self):
+        for n in range(1, 8):
+            for t in enumerate_trees(n):
+                assert_atoms_match_reference(t)
+
+    @given(t=relabeled_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_relabeled_trees(self, t):
+        assert_atoms_match_reference(t)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stellare_and_coalescence(self, seed):
+        base = random_tree(15, seed)
+        once = stellare(base, [2 + (v + seed) % 3 for v in base.vertices]).tree
+        assert_atoms_match_reference(once)
+        assert_atoms_match_reference(random_s_tree(300, seed))
+        plan = CoalescencePlan(((once, once.vertices[-1]), (star_tree(4), 1), (path_tree(3), 1)))
+        assert_atoms_match_reference(s_coalescence(plan).tree)
+
+    def test_adversarial_shapes(self):
+        from test_forest_reference import SHAPES
+
+        for make in SHAPES.values():
+            assert_atoms_match_reference(make())
 
 
 class TestBouquet:

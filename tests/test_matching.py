@@ -60,8 +60,41 @@ class TestMatchingCount:
         from strees.generators import random_tree
 
         trees = [random_tree(n, seed) for n, seed in ((60, 1), (300, 2), (2000, 3))]
-        for t in trees + [star_tree(50), path_tree(301)]:
+        trees += [random_tree(17 * seed + 5, seed) for seed in range(40)]
+        for t in trees + [star_tree(50), path_tree(301), path_tree(1)]:
             assert matching_number_and_count(t) == prefix_suffix_matching_dp(t)
+            assert independence_number(t) == children_fold_independence(t)
+
+    def test_agrees_with_brute_force_to_order_12(self):
+        from strees.generators import random_tree
+
+        for n in range(7, 13):
+            for seed in range(25):
+                t = random_tree(n, 100 * n + seed)
+                oracle = exact.brute_force(t)
+                assert matching_number_and_count(t) == (
+                    oracle.matching_number,
+                    oracle.max_matching_count,
+                )
+                assert independence_number(t) == oracle.independence_number
+                assert domination_number(t) == oracle.domination_number
+
+
+def children_fold_independence(t):
+    """Reference DP: each vertex sums over a list of its children."""
+    root = t.vertices[0]
+    parent, order = {root: root}, [root]
+    for v in order:
+        for w in t.adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    excl, incl = {}, {}
+    for v in reversed(order):
+        kids = [w for w in t.adj[v] if parent[w] == v]
+        excl[v] = sum(max(excl[c], incl[c]) for c in kids)
+        incl[v] = 1 + sum(excl[c] for c in kids)
+    return max(excl[root], incl[root])
 
 
 def prefix_suffix_matching_dp(t):

@@ -149,3 +149,73 @@ class TestParsing:
     def test_parse_empty(self):
         with pytest.raises(ParseError):
             parse_tree("# nothing\n")
+
+
+# (input, error class, message): every parse and tree error, and for inputs
+# with several faults, the one reported first
+PARSE_ERRORS = [
+    ("one two\n", ParseError, "line 1: expected integers, got 'one two'"),
+    ("1 2\n  3 x  # note\n", ParseError, "line 2: expected integers, got '3 x'"),
+    ("1 2 3\n", ParseError, "line 1: expected 'u v', got '1 2 3'"),
+    ("1 2\n\t4 5 6 # c\n", ParseError, "line 2: expected 'u v', got '4 5 6'"),
+    ("1 -2\n", ParseError, "vertex ids must be non-negative"),
+    ("-3\n", ParseError, "vertex ids must be non-negative"),
+    ("# nothing\n\n   \n", ParseError, "no vertices found in input"),
+    ("{nope", ParseError,
+     "bad JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ('{"edges": [[1, 2, 3]]}', ParseError, "bad edge entry: [1, 2, 3]"),
+    ('{"vertices": [true], "edges": []}', ParseError, "bad vertex entry: True"),
+    ('{"vertices": 3}', ParseError, "tree JSON needs 'vertices' and 'edges' lists"),
+    ("1 1\n", NotATree, "self-loop at 1"),
+    ("1 2\n2 1\n", NotATree, "duplicate edge {2,1}"),
+    ("1 2\n3 4\n", NotATree, "4 vertices need 3 edges, got 2"),
+    ("1 2\n2 3\n3 1\n4 5\n", NotATree, "not connected"),
+    ("1 2\n5\n", NotATree, "3 vertices need 2 edges, got 1"),
+    ('{"edges": [[1, 1.5]]}', NotATree, "vertex ids must be integers: (1, 1.5)"),
+    ('{"edges": [[1, -2]]}', NotATree, "vertex ids must be non-negative: (1, -2)"),
+    ('{"vertices": [], "edges": []}', NotATree, "empty vertex set"),
+    # several faults: a bad line anywhere beats a negative id, the first bad
+    # line wins, and integer conversion is checked before the token count
+    ("-1 2\n1 2\n1 2 3\nx\n", ParseError, "line 3: expected 'u v', got '1 2 3'"),
+    ("1 x 3\n", ParseError, "line 1: expected integers, got '1 x 3'"),
+    ("1 2\n-1 -1\n", ParseError, "vertex ids must be non-negative"),
+    ("1 1\n1 2\n1 2\n", NotATree, "self-loop at 1"),
+    ("1 2\n1 2\n3 3\n", NotATree, "duplicate edge {1,2}"),
+    ('{"edges": [[1, -2], [3, true]]}', NotATree, "vertex ids must be non-negative: (1, -2)"),
+    ('{"edges": [[true, -2]]}', NotATree, "vertex ids must be integers: (True, -2)"),
+]
+
+TREE_ERRORS = [
+    ([(1, 2, 3)], (), "not an edge pair: (1, 2, 3)"),
+    ([5], (), "not an edge pair: 5"),
+    ([(1, True)], (), "vertex ids must be integers: (1, True)"),
+    ([("1", 2)], (), "vertex ids must be integers: ('1', 2)"),
+    ([(0, -1)], (), "vertex ids must be non-negative: (0, -1)"),
+    ([(2, 2)], (), "self-loop at 2"),
+    ([(0, 1), (1, 0)], (), "duplicate edge {1,0}"),
+    ([(0, 1)], [-4], "vertex ids must be non-negative integers: -4"),
+    ([(0, 1)], [False], "vertex ids must be non-negative integers: False"),
+    ([], (), "empty vertex set"),
+    ([(0, 1)], [7], "3 vertices need 2 edges, got 1"),
+    ([(0, 1), (1, 2), (2, 0), (3, 4)], (), "not connected"),
+    # several faults: edges are checked in order, each before the vertices
+    ([(0, 1), (1, 1), ("a", 2)], [-1], "self-loop at 1"),
+    ([(0, 1), (0, 1), (0, -5)], (), "duplicate edge {0,1}"),
+    ([(0, 1), (0, 2)], [-1, 9], "vertex ids must be non-negative integers: -1"),
+]
+
+
+@pytest.mark.parametrize("text, cls, message", PARSE_ERRORS)
+def test_parse_error_messages(text, cls, message):
+    with pytest.raises(cls) as info:
+        parse_tree(text)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edges, vertices, message", TREE_ERRORS)
+def test_tree_error_messages(edges, vertices, message):
+    with pytest.raises(NotATree) as info:
+        Tree(edges, vertices=vertices)
+    assert type(info.value) is NotATree
+    assert str(info.value) == message
