@@ -4,23 +4,36 @@ Everything here is exact: integer arithmetic in the elimination core
 (fraction-free, each update cancelling the pivot by gcd multipliers, with
 no division), Fractions only at the edges. No floats anywhere in the package.
 
-Matrices are sparse: each row is a dict {column label: value}. Pivots are
-chosen by a cheapest-row rule (fewest nonzeros, then smallest leading
-column, then input position), which on tree adjacency matrices mirrors leaf
-stripping and keeps fill-in near zero. A heap of row keys yields that pivot
-without rescanning the rows, and a column -> rows index names the rows each
-pivot updates, so forward elimination costs about the nonzeros it touches.
-Back-substitution for each free column visits only the pivots its kernel
-vector reaches. Neither changes the pivot order or the arithmetic, so the
-pivots, the rank and every kernel vector are those of the plain rescan.
+Matrices are sparse: each row is a dict {column label: value}. There are
+two eliminations, with two pivot rules, because only one of them has to
+fix its pivots.
+
+_eliminate, behind tree_kernel's _kernel_rows, picks pivots by a
+cheapest-row rule (fewest nonzeros, then smallest leading column, then
+input position), which on tree adjacency matrices mirrors leaf stripping
+and keeps fill-in near zero. A kernel vector depends on the pivots, so this
+order is pinned. A heap of row keys yields that pivot without rescanning
+the rows, and a column -> rows index names the rows each pivot updates, so
+forward elimination costs about the nonzeros it touches. Back-substitution
+for each free column visits only the pivots its kernel vector reaches.
+Neither changes the pivot order or the arithmetic, so the pivots and every
+kernel vector are those of the plain rescan.
+
+_rank, behind tree_rank, rank_of_vectors and span_equal, returns only the
+rank, which does not depend on the pivots. It takes zero-fill pivots first
+(Markowitz cost (r-1)(c-1) = 0: a column with one live holder, or a live
+row with one entry), which need no arithmetic at all. Only when none is
+left does it take the column with the fewest holders and its shortest row.
+The cheapest-row order instead updates every remaining row at each step on
+a family that shares one column, such as a star's kernel, which made those
+ranks quadratic.
 
 The basis builders prove their families without eliminating anything:
 peel_independent proves a family independent by a triangular submatrix,
 and in_column_space_by_witness proves a vector in the column space from a
 preimage and the set that holds the kernel's support. Elimination stays as
-the independent oracle (tree_kernel, tree_rank, rank_of_vectors,
-span_equal); tree_rank serves callers that need only a count, so it stops
-after forward elimination.
+the independent oracle: tree_kernel for the kernel, and _rank for every
+count and span comparison.
 """
 
 from __future__ import annotations
@@ -133,6 +146,114 @@ def _eliminate(rows: list[Row]) -> tuple[list[tuple[int, Row]], int]:
     return pivots, len(pivots)
 
 
+def _rank(rows: list[Row]) -> int:
+    """Rank of the row system, by fraction-free elimination; rows are consumed.
+
+    Zero-fill pivots come first, from two worklists. A column held by one
+    live row is a multiple of a unit vector, so that row and column retire
+    together for one unit of rank, with no update. A live row with one entry
+    is a multiple of a unit vector too, and its update only deletes that
+    column from the other rows. Neither adds an entry anywhere. On a tree's
+    adjacency matrix the incidence of rows and columns is a forest, which
+    always has such a pivot, so no arithmetic runs at all.
+
+    Otherwise the pivot column is one with the fewest live holders, from a
+    heap built the first time it is needed. An entry is pushed whenever a
+    column's count changes and is skipped when it no longer matches, so the
+    valid entry on top is a true minimum. The pivot row is the column's
+    shortest, and the update is _eliminate's gcd step.
+    """
+    live: list[Row | None] = [r for r in rows if r]
+    holders: dict[int, set[int]] = {}
+    for i, r in enumerate(live):
+        for j in r:
+            holders.setdefault(j, set()).add(i)
+    lone_cols = [j for j, h in holders.items() if len(h) == 1]
+    short_rows = [i for i, r in enumerate(live) if len(r) == 1]
+    heap: list[tuple[int, int]] | None = None
+    rank = 0
+    while True:
+        if lone_cols:
+            c = lone_cols.pop()
+            h = holders.get(c)
+            if h is None or len(h) != 1:
+                continue
+            (p,) = h
+            prow = live[p]
+            live[p] = None
+            rank += 1
+            for j in prow:
+                h = holders[j]
+                h.discard(p)
+                if len(h) == 1:
+                    lone_cols.append(j)
+                elif h and heap is not None:
+                    heappush(heap, (len(h), j))
+            continue
+        if short_rows:
+            p = short_rows.pop()
+            prow = live[p]
+            if prow is None or len(prow) != 1:
+                continue
+            (c,) = prow
+            rank += 1
+            for i in holders.pop(c):
+                r = live[i]
+                del r[c]
+                if len(r) == 1:
+                    short_rows.append(i)
+                elif not r:
+                    live[i] = None
+            continue
+        if heap is None:
+            heap = [(len(h), j) for j, h in holders.items() if h]
+            heapify(heap)
+        while heap:
+            k, c = heappop(heap)
+            h = holders.get(c)
+            if h is not None and len(h) == k:
+                break
+        else:
+            return rank
+        p = min(h, key=lambda i: (len(live[i]), i))
+        prow = live[p]
+        live[p] = None
+        rank += 1
+        del holders[c]
+        piv = prow.pop(c)
+        for i in h:
+            if i == p:
+                continue
+            r = live[i]
+            x = r.pop(c)
+            g = gcd(piv, x)
+            a, b = piv // g, x // g
+            if a != 1:
+                for j in r:
+                    r[j] *= a
+            for j, v in prow.items():
+                y = r.get(j)
+                if y is None:
+                    r[j] = -b * v
+                    holders[j].add(i)
+                elif y == b * v:
+                    del r[j]
+                    holders[j].discard(i)
+                else:
+                    r[j] = y - b * v
+            if len(r) == 1:
+                short_rows.append(i)
+            elif not r:
+                live[i] = None
+        for j in prow:
+            h = holders[j]
+            h.discard(p)
+            if len(h) == 1:
+                lone_cols.append(j)
+            elif h:
+                heappush(heap, (len(h), j))
+
+
 def _kernel_rows(rows: list[Row], col_labels: Sequence[int]) -> list[dict[int, int]]:
     """Primitive integer kernel basis of the row system, one per free column.
 
@@ -205,8 +326,8 @@ def tree_kernel(t: Tree) -> tuple[VertexVector, ...]:
 
 @per_tree
 def tree_rank(t: Tree) -> int:
-    """Rank of the adjacency matrix: tree_kernel's elimination, forward only."""
-    return _eliminate([{w: 1 for w in t.adj[v]} for v in t.vertices])[1]
+    """Rank of the adjacency matrix, by _rank: leaf stripping, with no arithmetic."""
+    return _rank([{w: 1 for w in t.adj[v]} for v in t.vertices])
 
 
 def _same_domain(d: tuple[int, ...], e: tuple[int, ...]) -> bool:
@@ -276,12 +397,14 @@ def column_space_vectors(t: Tree) -> tuple[VertexVector, ...]:
 
 
 def _vector_rows(vectors: Sequence[VertexVector]) -> list[Row]:
+    """Fresh integer rows; signed bases and kernel vectors are copied as they are."""
+    if all(type(c) is int for v in vectors for c in v.entries.values()):
+        return [dict(v.entries) for v in vectors]
     return _integer_rows([v.entries for v in vectors])
 
 
 def rank_of_vectors(vectors: Sequence[VertexVector]) -> int:
-    _, r = _eliminate(_vector_rows(vectors))
-    return r
+    return _rank(_vector_rows(vectors))
 
 
 def peel_independent(vectors: Sequence[VertexVector]) -> list[tuple[int, int]]:
@@ -337,8 +460,7 @@ def span_equal(a: Sequence[VertexVector], b: Sequence[VertexVector]) -> bool:
     rb = rank_of_vectors(b)
     if ra != rb:
         return False
-    _, rab = _eliminate(_vector_rows(both))
-    return rab == ra
+    return rank_of_vectors(both) == ra
 
 
 def full_support_vector(vectors: Sequence[VertexVector]) -> VertexVector:

@@ -51,8 +51,12 @@ def _sc_merge(a: SC, b: SC) -> SC:
     return (a[0], a[1] + b[1])
 
 
+@per_tree
 def _matching_dp(t: Tree) -> SC:
     """(nu, number of maximum matchings) of the tree, by post-order DP.
+
+    Kept on the tree, so that an atom spanning its whole tree, a twin,
+    starts with the tree's count.
 
     Per vertex, the best (size, count) with the vertex left free, and the
     best size change and count with it matched to a child. Matching v to

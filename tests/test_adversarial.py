@@ -1,5 +1,5 @@
 """Adversarial shapes of about 10^4 vertices: the elimination oracle, and the
-builders' own proofs where the oracle is slow."""
+builders' own proofs."""
 
 import pytest
 
@@ -46,16 +46,7 @@ SHAPES = {
     "double_stellare": lambda: double_stellare(random_tree(1_111, 4)),
 }
 
-# The star's kernel and the spider's null basis share one column across the
-# family, so the cheapest-row pivot order updates every remaining row at every
-# step: the oracle's span checks take minutes, not seconds, on these two.
-SLOW = {"star", "spider"}
-
-
-@pytest.mark.parametrize(
-    "shape",
-    [pytest.param(s, marks=pytest.mark.slow) if s in SLOW else s for s in sorted(SHAPES)],
-)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_large_shape_against_oracle(shape):
     t = SHAPES[shape]()
     assert 9_990 <= t.order <= 10_000
@@ -66,7 +57,7 @@ def test_large_shape_against_oracle(shape):
 
 
 # The builders prove their bases by count, membership and peeling, with no
-# elimination, so they stay fast on the shapes the oracle finds slow.
+# elimination, on the shapes whose families share one column.
 @pytest.mark.parametrize("shape", ["star", "spider"])
 def test_large_null_basis_proves_itself(shape):
     t = SHAPES[shape]()

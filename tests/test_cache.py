@@ -1,6 +1,7 @@
 """Derived structure is computed once per Tree object and never pins it."""
 
 import gc
+from functools import wraps
 
 from strees import decomposition, exact, matching
 from strees.bases import tree_null_basis, tree_range_basis
@@ -9,7 +10,7 @@ from strees.decomposition import atom_set, decompose, invariant_report
 from strees.fixtures import FIXTURE_NAMES, fixture_path, star_tree
 from strees.generators import random_tree
 from strees.ops import CoalescencePlan, coalescence_invariants, stellare_bases
-from strees.tree import Tree, parse_tree, tree_to_edge_text
+from strees.tree import Tree, parse_tree, per_tree, tree_to_edge_text
 
 
 def test_same_object_per_tree(tree18):
@@ -63,53 +64,75 @@ def test_range_basis_eliminates_no_kernel(capsys, monkeypatch, tmp_path):
     assert widths == []
 
 
-def test_bases_eliminate_nothing(capsys, monkeypatch, tmp_path):
-    # count, membership and independence by peeling: no elimination of any
-    # family, kernel or rank
-    spider = tmp_path / "spider.edges"
-    spider.write_text(tree_to_edge_text(Tree(SPIDER)))
+def _count_eliminations(monkeypatch, name):
+    """Record the row count of every call to exact.<name> from here on."""
     calls = []
-    orig = exact._eliminate
+    orig = getattr(exact, name)
 
     def counting(rows):
         calls.append(len(rows))
         return orig(rows)
 
-    monkeypatch.setattr(exact, "_eliminate", counting)
+    monkeypatch.setattr(exact, name, counting)
+    return calls
+
+
+def test_bases_eliminate_nothing(capsys, monkeypatch, tmp_path):
+    # count, membership and independence by peeling: no elimination of any
+    # family, kernel or rank
+    spider = tmp_path / "spider.edges"
+    spider.write_text(tree_to_edge_text(Tree(SPIDER)))
+    calls = _count_eliminations(monkeypatch, "_eliminate")
+    ranks = _count_eliminations(monkeypatch, "_rank")
     for path in (fixture_path("tree18"), _star_file(tmp_path), str(spider)):
         for cmd in ("null-basis", "range-basis"):
             assert main([cmd, path, "--format", "json"]) == 0
     capsys.readouterr()
     stellare_bases(random_tree(12, 3), [2, 3] * 6)
     assert calls == []
+    assert ranks == []
 
 
 def test_counts_eliminate_forward_once(capsys, monkeypatch, tmp_path):
-    # invariants and classify print counts only: one forward elimination
-    # per tree, and no back-substitution into a kernel
+    # invariants and classify print counts only: one rank elimination of the
+    # whole tree, and neither the kernel's elimination nor back-substitution
     spider = tmp_path / "spider.edges"
     spider.write_text(tree_to_edge_text(Tree(SPIDER)))
     widths = _count_kernel_rows(monkeypatch)
-    calls = []
-    orig = exact._eliminate
-
-    def counting(rows):
-        calls.append(len(rows))
-        return orig(rows)
-
-    monkeypatch.setattr(exact, "_eliminate", counting)
+    calls = _count_eliminations(monkeypatch, "_eliminate")
+    ranks = _count_eliminations(monkeypatch, "_rank")
     paths = [fixture_path(name) for name in FIXTURE_NAMES]
     paths += [_star_file(tmp_path), str(spider)]
     for path in paths:
         order = parse_tree(open(path).read()).order
         for cmd in ("invariants", "classify"):
-            calls.clear()
+            ranks.clear()
             assert main([cmd, path, "--format", "json"]) == 0
-            assert calls == [order], (cmd, path)
+            assert ranks == [order], (cmd, path)
     capsys.readouterr()
     plan = CoalescencePlan(((random_tree(9, 1), 1), (star_tree(4), 1), (Tree(SPIDER), 1)))
     coalescence_invariants(plan)
+    assert calls == []
     assert widths == []
+
+
+def test_one_atom_tree_counts_matchings_once(monkeypatch):
+    # a star and a spider are one atom each, a twin of the tree that starts
+    # with the tree's (nu, count), so invariant_report runs the DP once
+    inner = matching._matching_dp.__wrapped__
+    orders = []
+
+    @wraps(inner)
+    def counting(t):
+        orders.append(t.order)
+        return inner(t)
+
+    monkeypatch.setattr(matching, "_matching_dp", per_tree(counting))
+    for t in (star_tree(40), Tree(SPIDER)):
+        orders.clear()
+        invariant_report(t)
+        assert len(atom_set(t).atoms) == 1
+        assert orders == [t.order]
 
 
 def test_counts_build_no_parts(capsys, monkeypatch, tmp_path):

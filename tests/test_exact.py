@@ -138,6 +138,7 @@ def fraction_rank(rows):
 
 # mostly-zero entries, so that many rows lack the pivot column at each step
 ENTRY = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))
+NONZERO = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
 
 @given(
@@ -151,6 +152,32 @@ ENTRY = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))
 def test_rank_matches_fraction_elimination(rows):
     vecs = [VertexVector(range(len(rows[0])), dict(enumerate(r))) for r in rows]
     assert exact.rank_of_vectors(vecs) == fraction_rank(rows)
+
+
+def integer_families(entry, min_n=1):
+    return st.integers(min_value=min_n, max_value=8).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+
+
+def share_first_column(rows):
+    """Prefix every row with a nonzero entry, so all rows share column 0."""
+    return st.lists(NONZERO, min_size=len(rows), max_size=len(rows)).map(
+        lambda firsts: [[x, *r] for x, r in zip(firsts, rows)]
+    )
+
+
+@given(
+    st.one_of(
+        integer_families(st.integers(min_value=-3, max_value=3)),
+        integer_families(ENTRY, min_n=0).flatmap(share_first_column),
+    )
+)
+@settings(max_examples=1000, deadline=None)
+def test_markowitz_rank_matches_fraction_elimination(rows):
+    # dense families, and families sharing one column as a star's kernel does
+    sparse = [{j: c for j, c in enumerate(r) if c} for r in rows]
+    assert exact._rank(sparse) == fraction_rank(rows)
 
 
 def rescan_eliminate(rows):
@@ -236,9 +263,6 @@ def relabeled_trees(draw, max_n=60):
 def test_elimination_matches_rescan_on_trees(case):
     rows, cols = case
     assert_same_elimination(rows, cols)
-
-
-NONZERO = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
 
 @given(

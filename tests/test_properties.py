@@ -35,7 +35,12 @@ from strees import (
 from strees.bases import atom_range_basis, forest_basis
 from strees.decomposition import Classification, atom_set, bouquet
 from strees.errors import SpanMismatch
-from strees.exact import in_column_space_by_witness, peel_independent, rank_of_vectors
+from strees.exact import (
+    _eliminate,
+    in_column_space_by_witness,
+    peel_independent,
+    rank_of_vectors,
+)
 from strees.matching import deficient_set
 from test_exact import fraction_rank
 
@@ -57,6 +62,8 @@ def test_rank_identities(t):
     r = tree_rank(t)
     nu = matching_number(t)
     assert r == 2 * nu
+    # the kernel's pivot order gives the same rank as tree_rank's zero-fill order
+    assert r == _eliminate([{w: 1 for w in t.adj[v]} for v in t.vertices])[1]
     assert independence_number(t) + nu == t.order
     assert len(tree_kernel(t)) == t.order - r
 
