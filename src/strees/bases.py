@@ -116,7 +116,7 @@ def basic_vector(b: BasicSubtree) -> VertexVector:
     entries = {
         v: (1 if d % 4 == 0 else -1) for v, d in dist.items() if d % 2 == 0
     }
-    x = VertexVector(b.host.vertices, entries)
+    x = VertexVector._trusted(b.host.vertices, entries)
     if not exact.in_adjacency_kernel(b.host, x):
         raise ValidationFailed("signed vector violates the kernel equations")
     return x
@@ -391,10 +391,11 @@ def _range_family(t: Tree) -> list[tuple[VertexVector, str]]:
     core = support_core(t).core
     closed = supp.union(core)
     dom = t.vertices
-    family = [(VertexVector.unit(dom, v), "unit", None) for v in dom if v not in closed]
+    vec = VertexVector._trusted  # every entry is a vertex of t, set to 1
+    family = [(vec(dom, {v: 1}), "unit", None) for v in dom if v not in closed]
     for c in core:
-        family.append((VertexVector.unit(dom, c), "core_unit", None))
-        bouquet = VertexVector.indicator(dom, (w for w in t.adj[c] if w in supp))
+        family.append((vec(dom, {c: 1}), "core_unit", None))
+        bouquet = vec(dom, {w: 1 for w in t.adj[c] if w in supp})
         family.append((bouquet, "bouquet", c))
     if len(family) != 2 * nu:
         raise SpanMismatch(f"{len(family)} range vectors, rank is {2 * nu}")
@@ -438,7 +439,7 @@ def tree_null_basis(t: Tree) -> tuple[VertexVector, ...]:
     out: list[VertexVector] = []
     for a in atom_set(t).atoms:
         for x in forest_basis(a).vectors:
-            out.append(VertexVector(t.vertices, dict(x.entries)))
+            out.append(VertexVector._trusted(t.vertices, dict(x.entries)))
     out.sort(key=_order_key)
     vecs = tuple(out)
     nullity = t.order - 2 * matching.deficient_set(t)[1]

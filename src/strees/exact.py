@@ -32,8 +32,12 @@ The basis builders prove their families without eliminating anything:
 peel_independent proves a family independent by a triangular submatrix,
 and in_column_space_by_witness proves a vector in the column space from a
 preimage and the set that holds the kernel's support. Elimination stays as
-the independent oracle: tree_kernel for the kernel, and _rank for every
-count and span comparison.
+the independent oracle. The check battery certifies both bases without a
+kernel: the null family by in_adjacency_kernel and a _rank equal to the
+nullity from tree_rank, the range family by orthogonal_to_kernel against
+that certified family and a _rank equal to tree_rank. tree_kernel,
+span_equal, in_column_space and column_space_vectors stay as the oracle
+that the tests and fixture_checks compare with.
 """
 
 from __future__ import annotations
@@ -347,14 +351,23 @@ def in_adjacency_kernel(t: Tree, x: VertexVector) -> bool:
 
 
 def in_column_space(t: Tree, vectors: Sequence[VertexVector]) -> bool:
-    """Exact check that every vector lies in the column space of A(t).
+    """Exact check that every vector lies in the column space of A(t), by
+    orthogonality to the kernel basis that tree_kernel eliminates."""
+    return orthogonal_to_kernel(t, tree_kernel(t), vectors)
+
+
+def orthogonal_to_kernel(
+    t: Tree, kernel: Sequence[VertexVector], vectors: Sequence[VertexVector]
+) -> bool:
+    """Exact check that every vector is orthogonal to every vector of `kernel`.
 
     A(t) is symmetric, so its column space is the orthogonal complement of
-    its kernel: a vector belongs exactly when it is orthogonal to every
-    vector of the tree's kernel basis.
+    its kernel: when `kernel` is a basis of the kernel of A(t), this is
+    membership in the column space. Each vector costs the kernel entries
+    that share a vertex with it.
     """
     at: dict[int, list[tuple[int, int]]] = {}
-    for i, k in enumerate(tree_kernel(t)):
+    for i, k in enumerate(kernel):
         for v, c in k.entries.items():
             at.setdefault(v, []).append((i, c))
     for x in vectors:
@@ -391,9 +404,8 @@ def in_column_space_by_witness(
 
 def column_space_vectors(t: Tree) -> tuple[VertexVector, ...]:
     """Columns of the adjacency matrix as vectors over the tree."""
-    return tuple(
-        VertexVector.indicator(t.vertices, t.adj[v]) for v in t.vertices
-    )
+    dom = t.vertices
+    return tuple(VertexVector._trusted(dom, dict.fromkeys(t.adj[v], 1)) for v in dom)
 
 
 def _vector_rows(vectors: Sequence[VertexVector]) -> list[Row]:

@@ -264,6 +264,15 @@ class VertexVector:
         self.entries: dict[int, Rational] = clean
 
     @classmethod
+    def _trusted(cls, domain: tuple[int, ...], entries: dict[int, Rational]) -> "VertexVector":
+        """Internal constructor for entries already known to be nonzero and in
+        the domain, such as those read off the tree's own adjacency."""
+        x = object.__new__(cls)
+        x.domain = domain
+        x.entries = entries
+        return x
+
+    @classmethod
     def unit(cls, domain: Sequence[int], v: int) -> "VertexVector":
         return cls(domain, {v: 1})
 

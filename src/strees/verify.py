@@ -1,13 +1,20 @@
 """Cross-checking battery: every structural theorem against exact oracles.
 
 check_tree computes the matching DP and the brute force once per tree, and
-reads the kernel, decomposition and atoms from the tree's own cache; it
-evaluates the full list of identities on it, compares the support read off
-a maximum matching with the eliminated kernel's, and checks both signed
-bases by span equality against the eliminated kernel and the adjacency
-columns, independently of the builders' own proofs. sweep runs the battery
-over every labeled tree up to a given order. fixture_checks reproduces the
-shipped fixtures' numbers. All comparisons are exact; no tolerances anywhere.
+reads the decomposition and atoms from the tree's own cache; it evaluates
+the full list of identities on it. Rank and nullity come from the rank
+elimination, exact.tree_rank, and the signed bases are checked by a
+certificate rather than by eliminating a second kernel. The null basis is
+certified when every vector solves A x = 0, it has nullity vectors, and
+their rank is the nullity: it is then a basis of the kernel. The support
+read off a maximum matching must equal the union of that certified basis's
+supports. The range family is certified when every vector is orthogonal to
+the certified kernel basis, which puts it in the column space as A is
+symmetric, and it has rank vectors of that rank. Every dimension comes from
+elimination, independently of the builders' own proofs, which count from a
+maximum matching. sweep runs the battery over every labeled tree up to a
+given order. fixture_checks reproduces the shipped fixtures' numbers. All
+comparisons are exact; no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -56,14 +63,18 @@ def check_tree(
     with_bases: bool = True,
     brute_limit: int = 16,
 ) -> VerifyReport:
-    """Evaluate every identity the library promises on one tree."""
+    """Evaluate every identity the library promises on one tree.
+
+    The null basis is built and certified even when with_bases is False,
+    since the support is compared with the certified basis's supports.
+    """
     out: list[CheckResult] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         out.append(CheckResult(name, ok, detail if not ok else ""))
 
-    nullity = len(exact.tree_kernel(t))
-    rank = t.order - nullity
+    rank = exact.tree_rank(t)
+    nullity = t.order - rank
     dec = decompose(t)
     ats = atom_set(t)
     supp = len(dec.support)
@@ -72,10 +83,22 @@ def check_tree(
     alpha = independence_number(t)
     n_vertices = dec.nonsingular_vertex_count
 
-    kernel_support = sorted({v for x in exact.tree_kernel(t) for v in x.entries})
+    nb: tuple[VertexVector, ...] | None = None
+    nb_ok, nb_error = False, ""
+    try:
+        nb = tree_null_basis(t)
+        nb_ok = (
+            len(nb) == nullity
+            and all(exact.in_adjacency_kernel(t, x) for x in nb)
+            and exact.rank_of_vectors(nb) == nullity
+        )
+    except StreesError as e:
+        nb_error = str(e)
+
+    kernel_support = sorted({v for x in nb or () for v in x.entries})
     check(
         "support_is_kernel_support",
-        list(dec.support) == kernel_support,
+        nb_ok and list(dec.support) == kernel_support,
         f"matching D-set {list(dec.support)}, kernel support {kernel_support}",
     )
     check("rank_is_twice_matching", rank == 2 * nu, f"rank {rank}, nu {nu}")
@@ -161,19 +184,21 @@ def check_tree(
         )
 
     if with_bases:
-        try:
-            nb = tree_null_basis(t)
+        if nb is not None:
             signed_ok = all(
                 all(v in (-1, 1) for v in x.entries.values()) for x in nb
             )
             check("null_basis_signed_entries", signed_ok)
-            check("null_basis", exact.span_equal(nb, exact.tree_kernel(t)))
-        except StreesError as e:
-            check("null_basis", False, str(e))
+        check("null_basis", nb_ok, nb_error)
         try:
-            rb = tree_range_basis(t)
-            cols = exact.column_space_vectors(t)
-            check("range_basis", exact.span_equal(rb.vectors, cols))
+            rb = tree_range_basis(t).vectors
+            check(
+                "range_basis",
+                nb_ok
+                and len(rb) == rank
+                and exact.orthogonal_to_kernel(t, nb, rb)
+                and exact.rank_of_vectors(rb) == rank,
+            )
         except StreesError as e:
             check("range_basis", False, str(e))
 

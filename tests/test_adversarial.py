@@ -1,5 +1,6 @@
 """Adversarial shapes of about 10^4 vertices: the elimination oracle, and the
-builders' own proofs."""
+builders' own proofs; and the same shapes at about 10^5 vertices through the
+check battery's certificate."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from strees.generators import random_tree
 from strees.matching import matching_number
 from strees.ops import stellare
 from strees.tree import Tree
+from strees.verify import check_tree
 
 
 def caterpillar(spine: int, legs: int) -> Tree:
@@ -74,6 +76,27 @@ def test_null_basis_of_1e5_vertices(shape):
     assert t.order == 100_000
     nu = matching_number(t)
     assert len(tree_null_basis(t)) == t.order - 2 * nu
+
+
+SHAPES_1E5 = {
+    "path": lambda: path_tree(100_000),
+    "star": lambda: star_tree(99_999),
+    "caterpillar": lambda: caterpillar(25_000, 3),
+    "spider": lambda: spider(33_333, 3),
+    "double_stellare": lambda: double_stellare(random_tree(11_111, 4)),
+}
+
+
+# The battery certifies both bases with tree_rank, the kernel equations and
+# two ranks, so it needs no kernel elimination and scales to 10^5 vertices.
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", sorted(SHAPES_1E5))
+def test_battery_on_1e5_vertices(shape):
+    t = SHAPES_1E5[shape]()
+    assert 99_990 <= t.order <= 100_000
+    report = check_tree(t, with_brute=False)
+    assert report.ok, report.failures
+    assert {"null_basis", "range_basis"} <= {r.name for r in report.results}
 
 
 @pytest.mark.parametrize("shape", ["star", "spider"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from strees import exact
+from strees.bases import tree_null_basis
 from strees.decomposition import support_core
 from strees.errors import DomainMismatch, EmptyBasis, SpanMismatch, TooLarge
 from strees.fixtures import path_tree
@@ -289,6 +290,14 @@ class TestColumnSpace:
     def test_domain_mismatch(self, tree18):
         with pytest.raises(DomainMismatch):
             exact.in_column_space(tree18, [VertexVector((1, 2), {1: 1})])
+
+    def test_any_kernel_basis_gives_the_same_membership(self, tree18):
+        # the check battery passes the signed null basis in place of the
+        # eliminated kernel
+        nb = tree_null_basis(tree18)
+        for v in tree18.vertices:
+            x = VertexVector.unit(tree18.vertices, v)
+            assert exact.orthogonal_to_kernel(tree18, nb, [x]) == exact.in_column_space(tree18, [x])
 
 
 class TestWitnessMembership:

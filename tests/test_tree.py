@@ -1,5 +1,7 @@
 import pytest
 
+from strees import exact
+from strees.bases import tree_null_basis, tree_range_basis
 from strees.errors import (
     DomainMismatch,
     NotATree,
@@ -109,6 +111,25 @@ class TestVertexVector:
     def test_indicator(self):
         x = VertexVector.indicator((1, 2, 3), (1, 3))
         assert x.entries == {1: 1, 3: 1}
+
+    def test_public_constructor_still_validates(self, tree8):
+        # the library builds its own vectors through a trusted constructor;
+        # user input keeps going through the validating one
+        with pytest.raises(DomainMismatch):
+            VertexVector(tree8.vertices, {99: 1})
+        with pytest.raises(DomainMismatch):
+            VertexVector.indicator(tree8.vertices, (1, 99))
+        with pytest.raises(DomainMismatch):
+            VertexVector.unit(tree8.vertices, 0)
+
+    def test_trusted_vectors_equal_validated_ones(self, tree18):
+        cols = exact.column_space_vectors(tree18)
+        for v, col in zip(tree18.vertices, cols):
+            assert col == VertexVector.indicator(tree18.vertices, tree18.adj[v])
+            assert col.domain is tree18.vertices
+        for x in tree_null_basis(tree18) + tree_range_basis(tree18).vectors:
+            assert x == VertexVector(tree18.vertices, x.entries)
+            assert 0 not in x.entries.values()
 
     def test_equality_hash(self):
         a = VertexVector((1, 2), {1: 1})

@@ -1,9 +1,10 @@
 import pytest
 
-from strees import matching, verify
-from strees.bases import RangeBasis
+from strees import exact, matching, verify
+from strees.bases import RangeBasis, tree_null_basis, tree_range_basis
 from strees.errors import TooSmall
-from strees.fixtures import fixture_tree, path_tree
+from strees.fixtures import fixture_tree, path_tree, star_tree
+from strees.generators import random_tree
 from strees.tree import Tree, VertexVector
 from strees.verify import check_tree, fixture_checks, sweep
 
@@ -33,7 +34,7 @@ class TestCheckTree:
         assert report.ok
         assert not any("brute" in r.name for r in report.results)
 
-    def test_support_cross_checked_by_elimination(self, monkeypatch):
+    def test_support_cross_checked_by_certificate(self, monkeypatch):
         # a matching route that drops one supported vertex
         honest = matching.deficient_set
 
@@ -45,13 +46,60 @@ class TestCheckTree:
         report = check_tree(fixture_tree("tree8"), with_bases=False)
         assert "support_is_kernel_support" in {r.name for r in report.failures}
 
-    def test_range_basis_cross_checked_by_elimination(self, monkeypatch, tree8):
+    def test_range_basis_cross_checked_by_certificate(self, monkeypatch, tree8):
         # the right count but the wrong span: e2 leaves the column space
         units = tuple(VertexVector.unit(tree8.vertices, v) for v in (1, 2, 3, 4))
         fake = RangeBasis(tree=tree8, vectors=units, roles=("unit",) * 4)
         monkeypatch.setattr(verify, "tree_range_basis", lambda t: fake)
         report = check_tree(tree8)
         assert [r.name for r in report.failures] == ["range_basis"]
+
+    def test_null_vector_outside_kernel_fails_certificate(self, monkeypatch, tree8):
+        # the right length and the same supports, but one sign flipped
+        nb = list(tree_null_basis(tree8))
+        x = nb[0]
+        top = max(x.entries)
+        bad = VertexVector(tree8.vertices, {**x.entries, top: -x.entries[top]})
+        assert not exact.in_adjacency_kernel(tree8, bad)
+        monkeypatch.setattr(verify, "tree_null_basis", lambda t: (bad, *nb[1:]))
+        failed = {r.name for r in check_tree(tree8).failures}
+        assert {"null_basis", "support_is_kernel_support"} <= failed
+
+    def test_repeated_null_vector_fails_certificate(self, monkeypatch, tree8):
+        # the right length, every vector in the kernel, but rank one short
+        nb = tree_null_basis(tree8)
+        monkeypatch.setattr(verify, "tree_null_basis", lambda t: (*nb[:-1], nb[0]))
+        failed = {r.name for r in check_tree(tree8).failures}
+        assert "null_basis" in failed
+        assert "null_basis_signed_entries" not in failed
+
+    def test_dependent_range_family_fails_certificate(self, monkeypatch, tree18):
+        # orthogonal to the kernel and of the right length, but dependent
+        rb = tree_range_basis(tree18)
+        vecs = (*rb.vectors[:-1], rb.vectors[0])
+        fake = RangeBasis(tree=tree18, vectors=vecs, roles=rb.roles)
+        monkeypatch.setattr(verify, "tree_range_basis", lambda t: fake)
+        report = check_tree(tree18)
+        assert [r.name for r in report.failures] == ["range_basis"]
+
+    def test_no_kernel_elimination_or_span_comparison(self, monkeypatch):
+        # the certificate needs only tree_rank, kernel equations and ranks
+        calls = []
+        for name in ("tree_kernel", "_kernel_rows", "_eliminate", "span_equal",
+                     "column_space_vectors"):
+            orig = getattr(exact, name)
+
+            def counting(*args, _name=name, _orig=orig):
+                calls.append(_name)
+                return _orig(*args)
+
+            monkeypatch.setattr(exact, name, counting)
+        trees = [fixture_tree(name) for name in ("tree8", "tree18", "tree6")]
+        trees += [star_tree(30), path_tree(31), random_tree(40, 5)]
+        for t in trees:
+            assert check_tree(t).ok
+        assert sweep(4).ok
+        assert calls == []
 
     def test_failure_detail_surfaces(self):
         # a fabricated failing result keeps its detail string
