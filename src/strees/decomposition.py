@@ -11,15 +11,19 @@ nonsingular parts (the rest); the connection edges have one end on each
 side. Cutting the core-core edges (bonds) of the closed support leaves the
 atoms, in one pass with no parts built. The counts need no parts either:
 the nonsingular parts hold the n - |support| - |core| vertices outside the
-closed support.
+closed support. invariant_identities returns the counts with the rows of
+their seven formulas; invariant_report requires them, and check_tree
+reports them among its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import exact, matching
-from .errors import FormulaMismatch, NotCoreVertex
+from .errors import NotCoreVertex
+from .identities import Row, require
 from .tree import Edge, Tree, components, per_tree, twin
 
 
@@ -182,11 +186,11 @@ class InvariantReport:
     checks: tuple[str, ...]
 
 
-def invariant_report(t: Tree) -> InvariantReport:
-    """Compute rank/nullity/matching data and verify the structural formulas.
+def invariant_identities(t: Tree) -> tuple[InvariantReport, tuple[Row, ...]]:
+    """Rank/nullity/matching data and the rows of the structural formulas.
 
-    Raises FormulaMismatch if any identity fails; a failure here means a bug,
-    not a property of the input.
+    The rows are not checked here: invariant_report requires them, and
+    check_tree reports them among its own.
     """
     sc = support_core(t)
     rank = exact.tree_rank(t)
@@ -197,23 +201,17 @@ def invariant_report(t: Tree) -> InvariantReport:
     core_size = len(sc.core)
     # the nonsingular parts partition the vertices outside the closed support
     n_count = t.order - supp_size - core_size
-    checks: list[tuple[str, bool]] = [
-        ("rank_is_twice_matching", rank == 2 * nu),
-        ("nullity_is_support_minus_core", nullity == supp_size - core_size),
-        ("matching_from_parts", nu == core_size + n_count // 2),
-        ("independence_from_parts", alpha == supp_size + n_count // 2),
-        ("independence_plus_matching", alpha + nu == t.order),
-        ("nonsingular_vertices_even", n_count % 2 == 0),
-    ]
-    ats = atom_set(t)
-    prod = 1
-    for a in ats.atoms:
-        prod *= matching.count_maximum_matchings(a)
-    checks.append(("matching_count_from_atoms", prod == m_count))
-    bad = [name for name, ok in checks if not ok]
-    if bad:
-        raise FormulaMismatch(f"identity failed: {', '.join(bad)}")
-    return InvariantReport(
+    prod = math.prod(matching.count_maximum_matchings(a) for a in atom_set(t).atoms)
+    rows = (
+        ("rank_is_twice_matching", rank, 2 * nu),
+        ("nullity_is_support_minus_core", nullity, supp_size - core_size),
+        ("matching_from_parts", nu, core_size + n_count // 2),
+        ("independence_from_parts", alpha, supp_size + n_count // 2),
+        ("independence_plus_matching", alpha + nu, t.order),
+        ("nonsingular_vertices_even", n_count % 2, 0),
+        ("matching_count_from_atoms", m_count, prod),
+    )
+    report = InvariantReport(
         order=t.order,
         rank=rank,
         nullity=nullity,
@@ -223,8 +221,20 @@ def invariant_report(t: Tree) -> InvariantReport:
         support_size=supp_size,
         core_size=core_size,
         nonsingular_vertex_count=n_count,
-        checks=tuple(name for name, _ in checks),
+        checks=tuple(name for name, _, _ in rows),
     )
+    return report, rows
+
+
+def invariant_report(t: Tree) -> InvariantReport:
+    """Compute rank/nullity/matching data and verify the structural formulas.
+
+    Raises FormulaMismatch if any identity fails; a failure here means a bug,
+    not a property of the input.
+    """
+    report, rows = invariant_identities(t)
+    require(*rows)
+    return report
 
 
 # -- serialization --------------------------------------------------------

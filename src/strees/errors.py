@@ -2,7 +2,9 @@
 
 Two families matter to callers: DomainError for bad input (CLI exit 1) and
 VerificationError for a violated internal identity (CLI exit 2). Everything
-raised on purpose by this package derives from StreesError.
+raised on purpose by this package derives from StreesError. A failed
+identity table (identities.require) raises FormulaMismatch, whose failures
+field holds every failed (name, got, want) row.
 """
 
 from __future__ import annotations
@@ -101,7 +103,11 @@ class SpanMismatch(VerificationError):
 
 
 class FormulaMismatch(VerificationError):
-    pass
+    """Identities failed; failures holds the failed (name, got, want) rows."""
+
+    def __init__(self, message: str, failures: tuple = ()) -> None:
+        super().__init__(message)
+        self.failures = failures
 
 
 class UsageError(DomainError):

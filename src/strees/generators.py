@@ -13,7 +13,8 @@ from itertools import product
 from typing import Iterator
 
 from .decomposition import classify, decompose, support_core
-from .errors import BadCode, FormulaMismatch, TooSmall
+from .errors import BadCode, TooSmall
+from .identities import require
 from .ops import CoalescencePlan, s_coalescence, stellare
 from .tree import Tree
 
@@ -131,10 +132,9 @@ def random_s_tree(budget: int, seed: int) -> Tree:
             attach_star = rng.choice(support_core(star).support)
             plan = CoalescencePlan(((t, attach_t), (star, attach_star)))
             t = s_coalescence(plan).tree
-    if t.order > budget:
-        raise FormulaMismatch("random composition exceeded the vertex budget")
-    if not classify(t).is_support_tree:
-        raise FormulaMismatch("random composition lost the domination property")
-    if decompose(t).nonsingular_parts:
-        raise FormulaMismatch("random composition produced a nonsingular part")
+    require(
+        ("within_budget", t.order <= budget, True),
+        ("is_support_tree", classify(t).is_support_tree, True),
+        ("no_nonsingular_parts", len(decompose(t).nonsingular_parts), 0),
+    )
     return t

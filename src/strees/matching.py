@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FormulaMismatch
+from .identities import require
 from .tree import Tree, components, per_tree
 
 
@@ -194,10 +195,7 @@ class MatchingInvariants:
 def matching_invariants(t: Tree) -> MatchingInvariants:
     nu, count = matching_number_and_count(t)
     alpha = independence_number(t)
-    if alpha + nu != t.order:
-        raise FormulaMismatch(
-            f"independence {alpha} + matching {nu} != order {t.order}"
-        )
+    require(("independence_plus_matching", alpha + nu, t.order))
     return MatchingInvariants(
         order=t.order,
         matching_number=nu,

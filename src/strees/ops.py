@@ -8,10 +8,15 @@ s_coalescence identifies one supported vertex of each part into a single
 fresh star vertex. split_at_support inverts it: splitting a support tree at
 an internal supported vertex v yields one part per neighbor, each carrying a
 fresh copy of v.
+
+stellare_invariants, coalescence_invariants and split_at_support check
+their closed forms as rows of one identity table (identities.require), so
+a failure names every failed identity with both sides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,14 +24,14 @@ from . import exact, matching
 from .decomposition import classify, support_core
 from .errors import (
     BadArity,
-    FormulaMismatch,
     KTooSmall,
     NotInternalSupport,
     NotSTree,
     NotSupported,
     SpanMismatch,
 )
-from .tree import Edge, Tree, VertexVector, int_text
+from .identities import require
+from .tree import Edge, Tree, VertexVector
 
 
 @dataclass(frozen=True)
@@ -105,29 +110,18 @@ def stellare_invariants(t: Tree, ks: Sequence[int]) -> StellareReport:
     nu, m_count = matching.matching_number_and_count(big)
     alpha = matching.independence_number(big)
     gamma = matching.domination_number(big)
-    prod = 1
-    for k in ks:
-        prod *= k
+    prod = math.prod(ks)
     pendants = tuple(sorted(set(big.vertices) - set(t.vertices)))
-    failures = []
-    if big.order - rank != total - n:
-        failures.append(f"nullity {big.order - rank} != {total - n}")
-    if rank != 2 * n:
-        failures.append(f"rank {rank} != {2 * n}")
-    if alpha != total:
-        failures.append(f"independence {alpha} != {total}")
-    if nu != n:
-        failures.append(f"matching {nu} != {n}")
-    if m_count != prod:
-        failures.append(f"matching count {int_text(m_count)} != {int_text(prod)}")
-    if gamma != n:
-        failures.append(f"domination {gamma} != {n}")
-    if sc.core != t.vertices:
-        failures.append(f"core {sc.core} != base vertices")
-    if sc.support != pendants:
-        failures.append(f"support {sc.support} != pendants")
-    if failures:
-        raise FormulaMismatch("; ".join(failures))
+    require(
+        ("nullity_is_arity_sum_minus_order", big.order - rank, total - n),
+        ("rank_is_twice_order", rank, 2 * n),
+        ("independence_is_arity_sum", alpha, total),
+        ("matching_is_order", nu, n),
+        ("matching_count_is_arity_product", m_count, prod),
+        ("domination_is_order", gamma, n),
+        ("core_is_base_vertices", sc.core, t.vertices),
+        ("support_is_pendants", sc.support, pendants),
+    )
     return StellareReport(
         order=big.order,
         nullity=total - n,
@@ -290,36 +284,21 @@ def coalescence_invariants(plan: CoalescencePlan) -> CoalescenceReport:
             if v != attach
         }
     )
-    failures = []
-    if list(sc.core) != expect_core:
-        failures.append("core is not the union of the parts' cores")
-    if list(sc.support) != expect_supp:
-        failures.append("support is not star plus leftover parts' supports")
-    if len(sc.support) != 1 - k + sum(len(p.support) for p in part_scs):
-        failures.append("support size formula")
-    if len(sc.core) != sum(len(p.core) for p in part_scs):
-        failures.append("core size formula")
-    if rank != sum(part.order - n0 for (part, _), n0 in zip(plan.parts, part_nullities)):
-        failures.append("rank does not add")
-    if nullity != 1 - k + sum(part_nullities):
-        failures.append("nullity formula")
-    if nu != sum(r[0] for r in part_reports):
-        failures.append("matching number does not add")
-    if alpha != 1 - k + sum(part_alphas):
-        failures.append("independence formula")
-    prod = 1
-    for _, c in part_reports:
-        prod *= c
-    if k >= 2:
-        if not m_count < prod:
-            failures.append("matching count not strictly below the product")
-    else:
-        if m_count != prod:
-            failures.append("single-part matching count changed")
-    if not classify(big).is_support_tree:
-        failures.append("result is not a support tree")
-    if failures:
-        raise FormulaMismatch("; ".join(failures))
+    prod = math.prod(c for _, c in part_reports)
+    require(
+        ("core_is_union_of_part_cores", list(sc.core), expect_core),
+        ("support_is_star_plus_part_supports", list(sc.support), expect_supp),
+        ("support_size_formula", sc.support_size, 1 - k + sum(p.support_size for p in part_scs)),
+        ("core_sizes_add", sc.core_size, sum(p.core_size for p in part_scs)),
+        ("rank_adds", rank, sum(part.order for part, _ in plan.parts) - sum(part_nullities)),
+        ("nullity_formula", nullity, 1 - k + sum(part_nullities)),
+        ("matching_number_adds", nu, sum(r[0] for r in part_reports)),
+        ("independence_formula", alpha, 1 - k + sum(part_alphas)),
+        ("matching_count_below_product", m_count < prod, True)
+        if k >= 2
+        else ("single_part_matching_count", m_count, prod),
+        ("result_is_support_tree", classify(big).is_support_tree, True),
+    )
     return CoalescenceReport(
         order=big.order,
         star_vertex=res.star_vertex,
@@ -360,12 +339,10 @@ def split_at_support(
         fresh = base + i
         part = Tree(list(side.edges()) + [(u, fresh)], vertices=side.vertices)
         out.append((part, fresh))
-    for part, fresh in out:
-        pc = classify(part)
-        if not pc.is_support_tree:
-            raise FormulaMismatch("split produced a non-support part")
-        if fresh not in support_core(part).support:
-            raise FormulaMismatch("fresh vertex is not supported in its part")
+    require(
+        ("parts_are_support_trees", all(classify(p).is_support_tree for p, _ in out), True),
+        ("fresh_copies_supported", all(f in support_core(p).support for p, f in out), True),
+    )
     return tuple(out)
 
 

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
+from strees import exact
+from strees.cli import main
 from strees.decomposition import (
     SupportCore,
     atom_set,
@@ -13,8 +15,8 @@ from strees.decomposition import (
     render_dot,
     support_core,
 )
-from strees.errors import NotCoreVertex
-from strees.fixtures import path_tree, star_tree
+from strees.errors import FormulaMismatch, NotCoreVertex
+from strees.fixtures import fixture_path, path_tree, star_tree
 from strees.generators import enumerate_trees, random_s_tree, random_tree
 from strees.ops import CoalescencePlan, s_coalescence, stellare
 from strees.tree import Tree, components
@@ -247,6 +249,21 @@ class TestInvariantReport:
         assert rep.nonsingular_vertex_count == 6
         assert "rank_is_twice_matching" in rep.checks
         assert "matching_count_from_atoms" in rep.checks
+
+    def test_failure_names_the_dependent_identities(self, monkeypatch, capsys, tree18):
+        # a rank two too high breaks exactly the two rows that read it
+        honest = exact.tree_rank
+        monkeypatch.setattr(exact, "tree_rank", lambda t: honest(t) + 2)
+        with pytest.raises(FormulaMismatch) as e:
+            invariant_report(tree18)
+        assert e.value.failures == (
+            ("rank_is_twice_matching", 16, 14),
+            ("nullity_is_support_minus_core", 2, 4),
+        )
+        assert main(["invariants", fixture_path("tree18")]) == 2
+        err = capsys.readouterr().err
+        assert "rank_is_twice_matching (got 16, expected 14)" in err
+        assert "nullity_is_support_minus_core (got 2, expected 4)" in err
 
     def test_single_vertex(self):
         rep = invariant_report(Tree([], vertices=[0]))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from freetrees import canonical_form
+from strees import generators
 from strees.decomposition import classify, decompose
-from strees.errors import BadCode, TooSmall
+from strees.errors import BadCode, FormulaMismatch, TooSmall
 from strees.generators import (
     PruferCode,
     enumerate_trees,
@@ -10,6 +13,7 @@ from strees.generators import (
     random_s_tree,
     random_tree,
 )
+from strees.tree import Tree
 
 
 class TestPruferCode:
@@ -90,6 +94,18 @@ class TestRandomSupportTree:
     def test_tiny_budget(self):
         assert random_s_tree(1, 0).order == 1
         assert random_s_tree(2, 0).order == 1  # no composition fits in 2
+
+    def test_failure_names_the_dependent_identities(self, monkeypatch):
+        # a decomposition that claims one nonsingular part
+        honest = generators.decompose
+        monkeypatch.setattr(
+            generators,
+            "decompose",
+            lambda t: dataclasses.replace(honest(t), nonsingular_parts=(Tree([(0, 1)]),)),
+        )
+        with pytest.raises(FormulaMismatch) as e:
+            random_s_tree(30, 0)
+        assert e.value.failures == (("no_nonsingular_parts", 1, 0),)
 
     def test_rejects_zero_budget(self):
         with pytest.raises(TooSmall):

@@ -1,6 +1,6 @@
 import pytest
 
-from strees import exact
+from strees import exact, matching
 from strees.errors import FormulaMismatch
 from strees.fixtures import path_tree, star_tree
 from strees.matching import (
@@ -177,6 +177,13 @@ class TestOtherInvariants:
         assert inv.max_matching_count == 11
         assert inv.independence_number == 6
         assert inv.domination_number == 2
+
+    def test_gallai_identity_failure(self, monkeypatch, tree8):
+        honest = matching.independence_number
+        monkeypatch.setattr(matching, "independence_number", lambda t: honest(t) + 1)
+        with pytest.raises(FormulaMismatch) as e:
+            matching_invariants(tree8)
+        assert e.value.failures == (("independence_plus_matching", 9, 8),)
 
     def test_gallai_identity_holds(self):
         t = Tree([(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)])

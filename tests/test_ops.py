@@ -1,10 +1,11 @@
 import pytest
 
 from freetrees import canonical_form
-from strees import exact
-from strees.decomposition import classify, support_core
+from strees import exact, matching, ops
+from strees.decomposition import SupportCore, classify, support_core
 from strees.errors import (
     BadArity,
+    FormulaMismatch,
     KTooSmall,
     NotInternalSupport,
     NotSTree,
@@ -82,6 +83,17 @@ class TestStellare:
         # original vertices all become core, pendants become support
         assert len(rep.core) == 2 and len(rep.support) == 5
 
+    def test_failure_names_the_dependent_identities(self, monkeypatch):
+        # a rank two too high breaks exactly the two rows that read it
+        honest = exact.tree_rank
+        monkeypatch.setattr(exact, "tree_rank", lambda t: honest(t) + 2)
+        with pytest.raises(FormulaMismatch) as e:
+            stellare_invariants(Tree([(1, 2)]), [3, 2])
+        assert e.value.failures == (
+            ("nullity_is_arity_sum_minus_order", 1, 3),
+            ("rank_is_twice_order", 6, 4),
+        )
+
     def test_result_is_support_tree(self):
         res = stellare(path_tree(4), [2, 3, 2, 4])
         assert classify(res.tree).is_support_tree
@@ -149,6 +161,14 @@ class TestCoalescence:
         # k = 1 keeps the matching count, no strict drop
         assert rep.max_matching_count == matching_number_and_count(p3)[1]
 
+    def test_failure_names_the_dependent_identities(self, monkeypatch):
+        # one more independent vertex in every tree breaks only the 1 - k + sum formula
+        honest = matching.independence_number
+        monkeypatch.setattr(matching, "independence_number", lambda t: honest(t) + 1)
+        with pytest.raises(FormulaMismatch) as e:
+            coalescence_invariants(self.plan_two_paths())
+        assert e.value.failures == (("independence_formula", 4, 5),)
+
     def test_rejects_unsupported_attach(self):
         p3 = Tree([(1, 2), (1, 3)])
         with pytest.raises(NotSupported):
@@ -183,6 +203,16 @@ class TestSplit:
         for t, attach in parts:
             assert classify(t).is_support_tree
             assert attach in support_core(t).support
+
+    def test_failure_names_the_dependent_identities(self, monkeypatch, tree8):
+        # a support that misses its largest vertex, the fresh copy in each part
+        honest = ops.support_core
+        monkeypatch.setattr(
+            ops, "support_core", lambda t: SupportCore(honest(t).support[:-1], honest(t).core)
+        )
+        with pytest.raises(FormulaMismatch) as e:
+            split_at_support(tree8, 5)
+        assert e.value.failures == (("fresh_copies_supported", False, True),)
 
     def test_split_rejects_leaf_support(self, tree8):
         with pytest.raises(NotInternalSupport):

@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 
 from strees import exact, matching, verify
 from strees.bases import RangeBasis, tree_null_basis, tree_range_basis
-from strees.errors import TooSmall
+from strees.decomposition import invariant_report
+from strees.errors import FormulaMismatch, TooSmall
 from strees.fixtures import fixture_tree, path_tree, star_tree
 from strees.generators import random_tree
+from strees.identities import require
 from strees.tree import Tree, VertexVector
 from strees.verify import check_tree, fixture_checks, sweep
 
@@ -101,10 +105,72 @@ class TestCheckTree:
         assert sweep(4).ok
         assert calls == []
 
-    def test_failure_detail_surfaces(self):
-        # a fabricated failing result keeps its detail string
+    def test_failure_detail_surfaces(self, monkeypatch):
+        # the brute force loses one of the path's two maximum matchings
+        honest = exact.brute_force
+
+        def short(t, limit=16):
+            oracle = honest(t, limit)
+            return dataclasses.replace(oracle, maximum_matchings=oracle.maximum_matchings[1:])
+
+        monkeypatch.setattr(exact, "brute_force", short)
         report = check_tree(Tree([(1, 2), (2, 3)]))
-        assert report.failures == ()
+        assert [(r.name, r.detail) for r in report.failures] == [
+            ("matching_count_brute", "got 2, expected 1")
+        ]
+        assert all(r.detail == "" for r in report.results if r.ok)
+
+    def test_dropped_nonsingular_part_fails(self, monkeypatch, tree18):
+        # the counts come from the support and core, so the parts need a row of their own
+        honest = verify.decompose
+
+        def short(t):
+            dec = honest(t)
+            return dataclasses.replace(dec, nonsingular_parts=dec.nonsingular_parts[:-1])
+
+        monkeypatch.setattr(verify, "decompose", short)
+        assert not check_tree(tree18).ok
+
+    def test_check_names_pinned(self, tree18):
+        # a renamed or dropped row must be deliberate
+        invariants = (
+            "rank_is_twice_matching",
+            "nullity_is_support_minus_core",
+            "matching_from_parts",
+            "independence_from_parts",
+            "independence_plus_matching",
+            "nonsingular_vertices_even",
+            "matching_count_from_atoms",
+        )
+        assert invariant_report(tree18).checks == invariants
+        assert [r.name for r in check_tree(tree18).results] == [
+            *invariants,
+            "support_is_kernel_support",
+            "nonsingular_parts_outside_closed_support",
+            "nonsingular_parts_match_perfectly",
+            "support_parts_classify",
+            "nonsingular_parts_classify",
+            "atoms_classify",
+            "atoms_bipartite",
+            "atom_nullity_bound",
+            "basic_equivalence_all_or_nothing",
+            "null_basis_signed_entries",
+            "null_basis",
+            "range_basis",
+        ]
+
+
+class TestIdentityTable:
+    def test_holding_rows_give_their_names(self):
+        assert require(("a", 1, 1), ("b", True, True)) == ("a", "b")
+
+    def test_failure_carries_both_sides(self):
+        big = 10**5000  # past the int-to-str cap
+        with pytest.raises(FormulaMismatch) as e:
+            require(("a", 1, 1), ("b", big, big + 1), ("c", False, True))
+        assert e.value.failures == (("b", big, big + 1), ("c", False, True))
+        assert str(e.value).startswith("identity failed: b (got 1000")
+        assert str(e.value).endswith("; c (got False, expected True)")
 
 
 class TestSweep:
