@@ -347,8 +347,10 @@ def _run_verify(args) -> tuple[str, bool]:
                 f"{res.failed} of {res.total} trees failed",
             )
         )
-        for n, idx, names in res.failures:
-            rows.append((f"tree n={n} #{idx}", False, " ".join(names)))
+        for n, idx, names, t in res.failures:
+            # the tree as one line of JSON, which `strees verify -` reads back
+            witness = json.dumps(tree_to_json(t), sort_keys=True)
+            rows.append((f"tree n={n} #{idx}", False, f"{' '.join(names)}  tree {witness}"))
     ok = all(r[1] for r in rows)
     if args.format == "json":
         out = _json_out(

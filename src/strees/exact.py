@@ -42,8 +42,9 @@ that the tests and fixture_checks compare with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import AbstractSet, Iterable, Sequence
@@ -501,128 +502,157 @@ def full_support_vector(vectors: Sequence[VertexVector]) -> VertexVector:
 # -- brute-force oracle ---------------------------------------------------
 
 
+def _masks(t: Tree) -> tuple[list[int], list[int]]:
+    """Bitmasks over positions in t.vertices: each vertex's neighbours, and
+    each edge's two ends in t.edges() order."""
+    pos = {v: i for i, v in enumerate(t.vertices)}
+    nbr = [0] * t.order
+    ends = []
+    for u, v in t.edges():
+        i, j = pos[u], pos[v]
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+        ends.append((1 << i) | (1 << j))
+    return nbr, ends
+
+
+def _unmask(verts: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    return tuple(v for i, v in enumerate(verts) if mask >> i & 1)
+
+
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Everything the exhaustive sweeps know about a small tree."""
+    """Everything the exhaustive sweeps know about a small tree.
+
+    brute_force fills in the numbers, the maximum matchings and the masks of
+    the maximum independent sets. The three vertex-set families are unmasked
+    and sorted on first access; the dominating sets are found only then.
+    """
 
     order: int
     matching_number: int
     maximum_matchings: tuple[tuple[tuple[int, int], ...], ...]
-    maximum_independent_sets: tuple[tuple[int, ...], ...]
-    minimum_vertex_covers: tuple[tuple[int, ...], ...]
-    minimum_dominating_sets: tuple[tuple[int, ...], ...]
+    independence_number: int
+    _tree: Tree = field(repr=False)
+    _independent_masks: tuple[int, ...] = field(repr=False)
 
     @property
     def max_matching_count(self) -> int:
         return len(self.maximum_matchings)
 
     @property
-    def independence_number(self) -> int:
-        return len(self.maximum_independent_sets[0])
-
-    @property
     def vertex_cover_number(self) -> int:
-        return len(self.minimum_vertex_covers[0])
+        return self.order - self.independence_number
 
     @property
     def domination_number(self) -> int:
         return len(self.minimum_dominating_sets[0])
 
+    @cached_property
+    def maximum_independent_sets(self) -> tuple[tuple[int, ...], ...]:
+        verts = self._tree.vertices
+        return tuple(sorted(_unmask(verts, m) for m in self._independent_masks))
+
+    @cached_property
+    def minimum_vertex_covers(self) -> tuple[tuple[int, ...], ...]:
+        # a vertex cover is the complement of an independent set
+        verts = self._tree.vertices
+        full = (1 << self.order) - 1
+        return tuple(sorted(_unmask(verts, full ^ m) for m in self._independent_masks))
+
+    @cached_property
+    def minimum_dominating_sets(self) -> tuple[tuple[int, ...], ...]:
+        # every vertex subset, keeping those whose closed neighbourhood is all
+        nbr = _masks(self._tree)[0]
+        full = (1 << self.order) - 1
+        best: list[int] = []
+        size = self.order + 1
+        for mask in range(1 << self.order):
+            bits = mask.bit_count()
+            if bits > size:
+                continue
+            closed = m = mask
+            while m:
+                low = m & -m
+                closed |= nbr[low.bit_length() - 1]
+                m ^= low
+            if closed == full:
+                if bits < size:
+                    size = bits
+                    best = [mask]
+                else:
+                    best.append(mask)
+        verts = self._tree.vertices
+        return tuple(sorted(_unmask(verts, m) for m in best))
+
 
 def brute_force(t: Tree, limit: int = 16) -> OracleReport:
     """Exhaustive enumeration of extremal structures; refuses big inputs.
 
-    One sweep over vertex subsets yields the independent sets, vertex covers,
-    and dominating sets; a recursive sweep over edges yields all maximum
-    matchings.
+    Two branchings, each pruned only when a branch cannot reach the best
+    size found so far, so every maximum structure is kept. Independent sets
+    branch over the vertices in domain order: take the next free vertex,
+    banning its neighbours, or leave it out; the bound is the size so far
+    plus the free vertices left. Matchings branch over the edges in order,
+    skipping each edge with a matched end: take the next edge or leave it
+    out; the bound is the size so far plus the edges left. Nothing here uses
+    a DP or linear algebra.
     """
     n = t.order
     if n > limit:
         raise TooLarge(f"{n} vertices exceeds the brute-force limit {limit}")
-    verts = t.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    nbr_mask = [0] * n
-    for v in verts:
-        m = 0
-        for w in t.adj[v]:
-            m |= 1 << pos[w]
-        nbr_mask[pos[v]] = m
+    nbr, ends = _masks(t)
     full = (1 << n) - 1
+
+    best_sets: list[int] = []
+    alpha = 0
+
+    def independent(free: int, chosen: int, size: int) -> None:
+        nonlocal best_sets, alpha
+        if size + free.bit_count() < alpha:
+            return
+        if not free:
+            if size > alpha:
+                alpha = size
+                best_sets = [chosen]
+            else:
+                best_sets.append(chosen)
+            return
+        low = free & -free
+        rest = free ^ low
+        independent(rest & ~nbr[low.bit_length() - 1], chosen | low, size + 1)
+        independent(rest, chosen, size)
+
+    m = len(ends)
+    best_matchings: list[list[int]] = []
+    nu = 0
+
+    def matchings(idx: int, used: int, chosen: list[int]) -> None:
+        nonlocal best_matchings, nu
+        while idx < m and ends[idx] & used:
+            idx += 1
+        if len(chosen) + m - idx < nu:
+            return
+        if idx == m:
+            if len(chosen) > nu:
+                nu = len(chosen)
+                best_matchings = [chosen.copy()]
+            else:
+                best_matchings.append(chosen.copy())
+            return
+        chosen.append(idx)
+        matchings(idx + 1, used | ends[idx], chosen)
+        chosen.pop()
+        matchings(idx + 1, used, chosen)
+
+    independent(full, 0, 0)
+    matchings(0, 0, [])
     edges = t.edges()
-    edge_masks = [(1 << pos[u]) | (1 << pos[v]) for u, v in edges]
-
-    best_is: list[int] = []
-    best_dom: list[int] = []
-    is_size = -1
-    dom_size = n + 1
-    for mask in range(1 << n):
-        bits = mask.bit_count()
-        # independence / cover only need one adjacency pass
-        independent = True
-        covered = 0
-        closed = mask
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if nbr_mask[i] & mask:
-                independent = False
-            closed |= nbr_mask[i]
-            m ^= low
-        if independent:
-            if bits > is_size:
-                is_size = bits
-                best_is = [mask]
-            elif bits == is_size:
-                best_is.append(mask)
-            # complement of an independent set is a vertex cover and vice versa
-        if closed == full:
-            if bits < dom_size:
-                dom_size = bits
-                best_dom = [mask]
-            elif bits == dom_size:
-                best_dom.append(mask)
-    # vertex covers are complements of independent sets
-    best_vc = [full ^ m for m in best_is]
-
-    # all maximum matchings by recursion over the edge list
-    best: list[list[int]] = []
-    best_size = 0
-
-    def extend(idx: int, used: int, chosen: list[int]) -> None:
-        nonlocal best, best_size
-        remaining = len(edge_masks) - idx
-        if len(chosen) + remaining < best_size:
-            return
-        if idx == len(edge_masks):
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best = [chosen.copy()]
-            elif len(chosen) == best_size:
-                best.append(chosen.copy())
-            return
-        em = edge_masks[idx]
-        if not em & used:
-            chosen.append(idx)
-            extend(idx + 1, used | em, chosen)
-            chosen.pop()
-        extend(idx + 1, used, chosen)
-
-    extend(0, 0, [])
-
-    def unmask(mask: int) -> tuple[int, ...]:
-        return tuple(verts[i] for i in range(n) if mask >> i & 1)
-
-    matchings = tuple(
-        sorted(
-            (tuple(edges[i] for i in ch) for ch in best),
-        )
-    )
     return OracleReport(
         order=n,
-        matching_number=best_size,
-        maximum_matchings=matchings,
-        maximum_independent_sets=tuple(sorted(unmask(m) for m in best_is)),
-        minimum_vertex_covers=tuple(sorted(unmask(m) for m in best_vc)),
-        minimum_dominating_sets=tuple(sorted(unmask(m) for m in best_dom)),
+        matching_number=nu,
+        maximum_matchings=tuple(sorted(tuple(edges[i] for i in ch) for ch in best_matchings)),
+        independence_number=alpha,
+        _tree=t,
+        _independent_masks=tuple(best_sets),
     )

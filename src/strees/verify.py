@@ -16,8 +16,9 @@ the certified kernel basis, which puts it in the column space as A is
 symmetric, and it has rank vectors of that rank. Every dimension comes from
 elimination, independently of the builders' own proofs, which count from a
 maximum matching. sweep runs the battery over every labeled tree up to a
-given order. fixture_checks reproduces the shipped fixtures' numbers as
-rows of the same form. All comparisons are exact; no tolerances anywhere.
+given order, and keeps each failing tree as a witness. fixture_checks
+reproduces the shipped fixtures' numbers as rows of the same form. All
+comparisons are exact; no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def check_tree(
 class SweepResult:
     total: int
     failed: int
-    failures: tuple[tuple[int, int, tuple[str, ...]], ...]  # (n, index, names)
+    failures: tuple[tuple[int, int, tuple[str, ...], Tree], ...]  # (n, index, names, tree)
 
     @property
     def ok(self) -> bool:
@@ -206,11 +207,14 @@ def sweep(
     progress: Callable[[int, int], None] | None = None,
     max_failures: int = 20,
 ) -> SweepResult:
-    """Run check_tree over every labeled tree with 1 <= order <= max_n."""
+    """Run check_tree over every labeled tree with 1 <= order <= max_n.
+
+    Each of the first max_failures failures keeps the tree as its witness.
+    """
     if max_n < 1:
         raise TooSmall(f"a sweep needs max_n >= 1, got {max_n}")
     total = failed = 0
-    failures: list[tuple[int, int, tuple[str, ...]]] = []
+    failures: list[tuple[int, int, tuple[str, ...], Tree]] = []
     for n in range(1, max_n + 1):
         for idx, t in enumerate(enumerate_trees(n)):
             report = check_tree(t)
@@ -219,7 +223,7 @@ def sweep(
                 failed += 1
                 if len(failures) < max_failures:
                     failures.append(
-                        (n, idx, tuple(r.name for r in report.failures))
+                        (n, idx, tuple(r.name for r in report.failures), t)
                     )
         if progress is not None:
             progress(n, total)

@@ -132,7 +132,7 @@ def test_criterion_4_uniqueness_theorems():
                 exhaustive += 1
                 _uniqueness_checks(t)
     sampled = 0
-    for n in (11, 12):
+    for n in range(11, 17):
         accepted = 0
         seed = 0
         while accepted < 1000:

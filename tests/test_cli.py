@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from decimal import Decimal
 
@@ -165,6 +166,41 @@ class TestVerifyCommand:
         assert code == 0
         obj = json.loads(out)
         assert obj["ok"] is True
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sweep_failure_gives_a_witness(self, capsys, monkeypatch, tmp_path, fmt):
+        # the brute force loses a maximum matching on every tree that has two:
+        # the 3 paths of order 3 and the 4 stars of order 4
+        from strees import exact
+
+        honest = exact.brute_force
+
+        def short(t, limit=16):
+            oracle = honest(t, limit)
+            kept = oracle.maximum_matchings[1:] or oracle.maximum_matchings
+            return dataclasses.replace(oracle, maximum_matchings=kept)
+
+        monkeypatch.setattr(exact, "brute_force", short)
+        code, out, _ = run(capsys, "verify", "--exhaustive-n", "4", "--format", fmt)
+        assert code == 2
+        if fmt == "json":
+            rows = [(c["name"], c["detail"]) for c in json.loads(out)["checks"] if not c["ok"]]
+        else:
+            rows = [
+                tuple(line[len("FAIL "):].split("  ", 1))
+                for line in out.splitlines() if line.startswith("FAIL ")
+            ]
+        assert rows[0] == ("exhaustive_n_4", "7 of 21 trees failed")
+        assert len(rows) == 8
+        path = tmp_path / "witness"
+        for name, detail in rows[1:]:
+            assert name.startswith(("tree n=3 #", "tree n=4 #"))
+            names, witness = detail.split("  tree ")
+            assert names == "matching_count_brute"
+            path.write_text(witness)
+            code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+            assert code == 2
+            assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == [names]
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_exhaustive_below_one_is_usage_error(self, capsys, k):

@@ -403,3 +403,71 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             exact.brute_force(big)
         assert exact.brute_force(big, limit=17).matching_number == 8
+
+    @staticmethod
+    def reference(t):
+        """Every family by a plain scan of all vertex and edge subsets."""
+        verts, edges = t.vertices, t.edges()
+        n = len(verts)
+        full = (1 << n) - 1
+        pos = {v: i for i, v in enumerate(verts)}
+        ends = [(1 << pos[u]) | (1 << pos[v]) for u, v in edges]
+        closed = [(1 << pos[v]) | sum(1 << pos[w] for w in t.adj[v]) for v in verts]
+        independent, covers, dominating = [], [], []
+        for s in range(1 << n):
+            if all(map((full ^ s).__and__, ends)):  # every edge has an end outside s
+                independent.append(s)
+            if all(map(s.__and__, ends)):
+                covers.append(s)
+            if all(map(s.__and__, closed)):
+                dominating.append(s)
+
+        def extremal(sets, pick):
+            size = pick(s.bit_count() for s in sets)
+            return tuple(sorted(
+                tuple(v for i, v in enumerate(verts) if s >> i & 1)
+                for s in sets if s.bit_count() == size
+            ))
+
+        matchings = []
+        for s in range(1 << len(edges)):
+            chosen = [i for i in range(len(edges)) if s >> i & 1]
+            if sum(ends[i] for i in chosen).bit_count() == 2 * len(chosen):
+                matchings.append(chosen)
+        nu = max(map(len, matchings))
+        return {
+            "maximum_independent_sets": extremal(independent, max),
+            "minimum_vertex_covers": extremal(covers, min),
+            "minimum_dominating_sets": extremal(dominating, min),
+            "maximum_matchings": tuple(sorted(
+                tuple(edges[i] for i in m) for m in matchings if len(m) == nu
+            )),
+            "matching_number": nu,
+        }
+
+    def check_reference(self, t):
+        want = self.reference(t)
+        r = exact.brute_force(t)
+        assert {name: getattr(r, name) for name in want} == want, t.edges()
+        assert r.independence_number == len(want["maximum_independent_sets"][0])
+        assert r.vertex_cover_number == len(want["minimum_vertex_covers"][0])
+
+    def test_reference_all_labeled_to_order_7(self):
+        from strees.generators import enumerate_trees
+
+        for n in range(1, 8):
+            for t in enumerate_trees(n):
+                self.check_reference(t)
+
+    def test_reference_shapes_to_order_12(self):
+        from strees.fixtures import star_tree
+        from strees.generators import random_tree
+        from test_adversarial import caterpillar, spider
+
+        trees = [random_tree(n, 10 * n + seed) for n in range(8, 13) for seed in range(6)]
+        trees += [star_tree(k) for k in range(7, 12)] + [path_tree(n) for n in range(8, 13)]
+        trees += [spider(3, 3), spider(5, 2), spider(2, 5), spider(11, 1)]
+        trees += [caterpillar(3, 2), caterpillar(4, 2), caterpillar(6, 1), caterpillar(2, 5)]
+        assert max(t.order for t in trees) == 12
+        for t in trees:
+            self.check_reference(t)

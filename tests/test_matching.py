@@ -65,10 +65,10 @@ class TestMatchingCount:
             assert matching_number_and_count(t) == prefix_suffix_matching_dp(t)
             assert independence_number(t) == children_fold_independence(t)
 
-    def test_agrees_with_brute_force_to_order_12(self):
+    def test_agrees_with_brute_force_to_order_16(self):
         from strees.generators import random_tree
 
-        for n in range(7, 13):
+        for n in range(7, 17):
             for seed in range(25):
                 t = random_tree(n, 100 * n + seed)
                 oracle = exact.brute_force(t)
@@ -77,7 +77,8 @@ class TestMatchingCount:
                     oracle.max_matching_count,
                 )
                 assert independence_number(t) == oracle.independence_number
-                assert domination_number(t) == oracle.domination_number
+                if n <= 12:  # the dominating sets are a scan of all 2^n subsets
+                    assert domination_number(t) == oracle.domination_number
 
 
 def children_fold_independence(t):
