@@ -4,29 +4,15 @@ Everything here is exact: integer arithmetic in the elimination core
 (fraction-free, each update cancelling the pivot by gcd multipliers, with
 no division), Fractions only at the edges. No floats anywhere in the package.
 
-Matrices are sparse: each row is a dict {column label: value}. There are
-two eliminations, with two pivot rules, because only one of them has to
-fix its pivots.
-
-_eliminate, behind tree_kernel's _kernel_rows, picks pivots by a
-cheapest-row rule (fewest nonzeros, then smallest leading column, then
-input position), which on tree adjacency matrices mirrors leaf stripping
-and keeps fill-in near zero. A kernel vector depends on the pivots, so this
-order is pinned. A heap of row keys yields that pivot without rescanning
-the rows, and a column -> rows index names the rows each pivot updates, so
-forward elimination costs about the nonzeros it touches. Back-substitution
-for each free column visits only the pivots its kernel vector reaches.
-Neither changes the pivot order or the arithmetic, so the pivots and every
-kernel vector are those of the plain rescan.
-
-_rank, behind tree_rank, rank_of_vectors and span_equal, returns only the
-rank, which does not depend on the pivots. It takes zero-fill pivots first
-(Markowitz cost (r-1)(c-1) = 0: a column with one live holder, or a live
-row with one entry), which need no arithmetic at all. Only when none is
-left does it take the column with the fewest holders and its shortest row.
-The cheapest-row order instead updates every remaining row at each step on
-a family that shares one column, such as a star's kernel, which made those
-ranks quadratic.
+Matrices are sparse: each row is a dict {column label: value}. There is
+one elimination, _eliminate. It takes zero-fill pivots first (Markowitz cost
+(r-1)(c-1) = 0: a column with one live holder, or a live row with one
+entry), which need no arithmetic at all, and on a tree's adjacency matrix
+nothing else is ever needed. Only when none is left does it take the column
+with the fewest holders and its shortest row. _rank, behind tree_rank,
+rank_of_vectors and span_equal, counts its pivots. _kernel_rows, behind
+tree_kernel, back-substitutes through them, visiting for each free column
+only the pivots its kernel vector reaches.
 
 The basis builders prove their families without eliminating anything:
 peel_independent proves a family independent by a triangular submatrix,
@@ -72,87 +58,13 @@ def _integer_rows(rows: Iterable[dict[int, Fraction | int]]) -> list[Row]:
     return out
 
 
-def _eliminate(rows: list[Row]) -> tuple[list[tuple[int, Row]], int]:
-    """Fraction-free forward elimination.
+def _eliminate(rows: list[Row]) -> list[tuple[int, int, Row]]:
+    """Fraction-free forward elimination; rows are consumed.
 
-    Returns (pivots, rank) where pivots is the list of (pivot column,
-    eliminated row) in elimination order; each returned row is already
-    reduced against all earlier pivots. Rows are consumed destructively.
-
-    The pivot is the active row of least (length, least column, input
-    position), the order a rescan of every row would give; the active rows
-    keep their input order, so position breaks ties the same way. It is
-    picked from a heap holding one live entry per row; an update pushes the
-    row's new entry, and superseded entries are skipped when popped. A key
-    holds a lower bound on the row's least column rather than the column
-    itself: an update removes columns or adds ones beyond the pivot column,
-    which is at least the row's least column, so the bound stays valid.
-    It is made exact only when the entry reaches the top, so the row is
-    scanned then, not at every update.
-
-    A column -> row positions index names the rows to update at each pivot.
-    It is lazy: fill-in appends a row to a column's list, and a row whose
-    column has since cancelled is skipped. An update rewrites the row in
-    place, touching only the pivot row's columns unless the multiplier of
-    the row is not 1.
-    """
-    active: list[Row | None] = [r for r in rows if r]
-    live: list[tuple[int, int, int] | None] = [
-        (len(r), min(r), i) for i, r in enumerate(active)
-    ]
-    heap = live[:]
-    heapify(heap)
-    index: dict[int, list[int]] = {}
-    for i, r in enumerate(active):
-        for j in r:
-            index.setdefault(j, []).append(i)
-    pivots: list[tuple[int, Row]] = []
-    while heap:
-        e = heappop(heap)
-        p = e[2]
-        if live[p] is not e:
-            continue
-        prow = active[p]
-        pc = min(prow)
-        if pc != e[1]:
-            live[p] = e = (e[0], pc, p)
-            heappush(heap, e)
-            continue
-        active[p] = live[p] = None
-        piv = prow[pc]
-        rest = [(j, v) for j, v in prow.items() if j != pc]
-        for i in index[pc]:
-            r = active[i]
-            if r is None:
-                continue
-            x = r.pop(pc, None)
-            if x is None:
-                continue
-            g = gcd(piv, x)
-            a, b = piv // g, x // g
-            if a != 1:
-                for j in r:
-                    r[j] *= a
-            for j, v in rest:
-                y = r.get(j)
-                if y is None:
-                    r[j] = -b * v
-                    index[j].append(i)
-                elif y == b * v:
-                    del r[j]
-                else:
-                    r[j] = y - b * v
-            if r:
-                live[i] = e = (len(r), live[i][1], i)
-                heappush(heap, e)
-            else:
-                active[i] = live[i] = None
-        pivots.append((pc, prow))
-    return pivots, len(pivots)
-
-
-def _rank(rows: list[Row]) -> int:
-    """Rank of the row system, by fraction-free elimination; rows are consumed.
+    Returns the pivots in elimination order, each as (pivot column, pivot
+    value, the row as it retired without its pivot entry). A retiring row
+    holds no earlier pivot column, so the pivots are triangular and
+    _kernel_rows back-substitutes through them.
 
     Zero-fill pivots come first, from two worklists. A column held by one
     live row is a multiple of a unit vector, so that row and column retire
@@ -166,7 +78,8 @@ def _rank(rows: list[Row]) -> int:
     heap built the first time it is needed. An entry is pushed whenever a
     column's count changes and is skipped when it no longer matches, so the
     valid entry on top is a true minimum. The pivot row is the column's
-    shortest, and the update is _eliminate's gcd step.
+    shortest, and every other holder is updated by gcd multipliers, with no
+    division, and loses the pivot column.
     """
     live: list[Row | None] = [r for r in rows if r]
     holders: dict[int, set[int]] = {}
@@ -176,7 +89,7 @@ def _rank(rows: list[Row]) -> int:
     lone_cols = [j for j, h in holders.items() if len(h) == 1]
     short_rows = [i for i, r in enumerate(live) if len(r) == 1]
     heap: list[tuple[int, int]] | None = None
-    rank = 0
+    pivots: list[tuple[int, int, Row]] = []
     while True:
         if lone_cols:
             c = lone_cols.pop()
@@ -186,7 +99,8 @@ def _rank(rows: list[Row]) -> int:
             (p,) = h
             prow = live[p]
             live[p] = None
-            rank += 1
+            del holders[c]
+            pivots.append((c, prow.pop(c), prow))
             for j in prow:
                 h = holders[j]
                 h.discard(p)
@@ -201,7 +115,9 @@ def _rank(rows: list[Row]) -> int:
             if prow is None or len(prow) != 1:
                 continue
             (c,) = prow
-            rank += 1
+            # the loop below deletes c from prow too, which leaves the row
+            # as it retired, without its pivot entry
+            pivots.append((c, prow[c], prow))
             for i in holders.pop(c):
                 r = live[i]
                 del r[c]
@@ -219,13 +135,13 @@ def _rank(rows: list[Row]) -> int:
             if h is not None and len(h) == k:
                 break
         else:
-            return rank
+            return pivots
         p = min(h, key=lambda i: (len(live[i]), i))
         prow = live[p]
         live[p] = None
-        rank += 1
         del holders[c]
         piv = prow.pop(c)
+        pivots.append((c, piv, prow))
         for i in h:
             if i == p:
                 continue
@@ -259,6 +175,11 @@ def _rank(rows: list[Row]) -> int:
                 heappush(heap, (len(h), j))
 
 
+def _rank(rows: list[Row]) -> int:
+    """Rank of the row system, by _eliminate; rows are consumed."""
+    return len(_eliminate(rows))
+
+
 def _kernel_rows(rows: list[Row], col_labels: Sequence[int]) -> list[dict[int, int]]:
     """Primitive integer kernel basis of the row system, one per free column.
 
@@ -266,23 +187,23 @@ def _kernel_rows(rows: list[Row], col_labels: Sequence[int]) -> list[dict[int, i
     other free column, i.e. the reduced-echelon complement up to the positive
     integer scaling that keeps entries integral.
 
-    Back-substitution is sparse. Pivot k's entry of x can be nonzero only
-    if its row holds a column already nonzero in x, and such a column is
-    either f or the pivot column of a later pivot. So a max-heap of pivot
-    positions, seeded from the pivots whose rows hold f and fed from those
-    whose rows hold each new nonzero, visits exactly the pivots that matter,
-    in the same decreasing order as a full sweep. Each dot product runs over
-    the smaller of x and the pivot row.
+    Back-substitution runs over _eliminate's pivots, latest first, and is
+    sparse. Pivot k's row holds no earlier pivot column, so its entry of x
+    can be nonzero only if its row holds a column already nonzero in x, and
+    such a column is either f or the pivot column of a later pivot. So a
+    max-heap of pivot positions, seeded from the pivots whose rows hold f
+    and fed from those whose rows hold each new nonzero, visits exactly the
+    pivots that matter, in decreasing order. Each dot product runs over the
+    smaller of x and the pivot row.
     """
-    pivots, _ = _eliminate(rows)
-    # column -> positions of the pivots whose rows hold it off the pivot,
-    # negated so that heapq, a min-heap, pops the latest pivot first
+    pivots = _eliminate(rows)
+    # column -> positions of the pivots whose rows hold it, negated so that
+    # heapq, a min-heap, pops the latest pivot first
     uses: dict[int, list[int]] = {}
-    for k, (pc, prow) in enumerate(pivots):
+    for k, (_, _, prow) in enumerate(pivots):
         for j in prow:
-            if j != pc:
-                uses.setdefault(j, []).append(-k)
-    pivot_set = {pc for pc, _ in pivots}
+            uses.setdefault(j, []).append(-k)
+    pivot_set = {pc for pc, _, _ in pivots}
     free = [c for c in col_labels if c not in pivot_set]
     basis: list[dict[int, int]] = []
     for f in free:
@@ -295,13 +216,13 @@ def _kernel_rows(rows: list[Row], col_labels: Sequence[int]) -> list[dict[int, i
             if k == last:
                 continue
             last = k
-            pc, prow = pivots[-k]
+            pc, piv, prow = pivots[-k]
             if len(x) < len(prow):
                 s = sum(c * prow[j] for j, c in x.items() if j in prow)
             else:
                 s = sum(c * x[j] for j, c in prow.items() if j in x)
             if s:
-                x[pc] = Fraction(-s, prow[pc])
+                x[pc] = Fraction(-s, piv)
                 for k2 in uses.get(pc, ()):
                     heappush(todo, k2)
         denom = 1
@@ -314,8 +235,6 @@ def _kernel_rows(rows: list[Row], col_labels: Sequence[int]) -> list[dict[int, i
             g = gcd(g, abs(c))
         if g > 1:
             ints = {j: c // g for j, c in ints.items()}
-        if ints[f] < 0:  # never happens with this construction, kept as a guard
-            ints = {j: -c for j, c in ints.items()}
         basis.append(ints)
     return basis
 

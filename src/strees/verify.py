@@ -3,7 +3,7 @@
 check_tree starts from the rows of invariant_identities, the formulas that
 invariant_report requires, and adds its own: that decompose's nonsingular
 parts hold the vertices outside the closed support, the part and atom
-checks, the brute force up to brute_limit vertices, and the bases. Each row
+checks, the brute force up to BRUTE_LIMIT vertices, and the bases. Each row
 is (name, got, want), as in identities; a failed row's detail gives both
 sides, and is formatted only for a failed row. Rank and nullity come from
 the rank elimination, exact.tree_rank, and the signed bases are checked by
@@ -72,18 +72,15 @@ def _results(rows: Iterable[Row]) -> tuple[CheckResult, ...]:
     )
 
 
-def check_tree(
-    t: Tree,
-    with_brute: bool = True,
-    with_bases: bool = True,
-    brute_limit: int = 16,
-) -> VerifyReport:
+BRUTE_LIMIT = 16  # largest order the brute-force rows run on
+MAX_FAILURES = 20  # failing trees a sweep keeps as witnesses
+
+
+def check_tree(t: Tree) -> VerifyReport:
     """Evaluate every identity the library promises on one tree.
 
     The rows start with invariant_identities' and add the decomposition,
-    atom, brute-force and basis rows. The null basis is built and certified
-    even when with_bases is False, since the support is compared with the
-    certified basis's supports.
+    atom, basis and, up to BRUTE_LIMIT vertices, brute-force rows.
     """
     report, rows = invariant_identities(t)
     rows = list(rows)
@@ -157,8 +154,8 @@ def check_tree(
         ("basic_equivalence_all_or_nothing", equiv_ok, True),
     ]
 
-    if with_brute and t.order <= brute_limit:
-        oracle = exact.brute_force(t, limit=brute_limit)
+    if t.order <= BRUTE_LIMIT:
+        oracle = exact.brute_force(t, limit=BRUTE_LIMIT)
         forbidden = set(dec.connection_edges) | set(ats.bond_edges)
         rows += [
             ("matching_number_brute", report.matching_number, oracle.matching_number),
@@ -171,22 +168,21 @@ def check_tree(
             ),
         ]
 
-    if with_bases:
-        if nb is not None:
-            signed_ok = all(all(v in (-1, 1) for v in x.entries.values()) for x in nb)
-            rows.append(("null_basis_signed_entries", signed_ok, True))
-        rows.append(("null_basis", nb_got, nb_want))
-        try:
-            rb = tree_range_basis(t).vectors
-            rb_got: object = (
-                nb_ok,
-                len(rb),
-                exact.orthogonal_to_kernel(t, nb or (), rb),
-                exact.rank_of_vectors(rb),
-            )
-        except StreesError as e:
-            rb_got = str(e)
-        rows.append(("range_basis", rb_got, (True, rank, True, rank)))
+    if nb is not None:
+        signed_ok = all(all(v in (-1, 1) for v in x.entries.values()) for x in nb)
+        rows.append(("null_basis_signed_entries", signed_ok, True))
+    rows.append(("null_basis", nb_got, nb_want))
+    try:
+        rb = tree_range_basis(t).vectors
+        rb_got: object = (
+            nb_ok,
+            len(rb),
+            exact.orthogonal_to_kernel(t, nb or (), rb),
+            exact.rank_of_vectors(rb),
+        )
+    except StreesError as e:
+        rb_got = str(e)
+    rows.append(("range_basis", rb_got, (True, rank, True, rank)))
 
     return VerifyReport(order=t.order, results=_results(rows))
 
@@ -202,14 +198,10 @@ class SweepResult:
         return self.failed == 0
 
 
-def sweep(
-    max_n: int,
-    progress: Callable[[int, int], None] | None = None,
-    max_failures: int = 20,
-) -> SweepResult:
+def sweep(max_n: int, progress: Callable[[int, int], None] | None = None) -> SweepResult:
     """Run check_tree over every labeled tree with 1 <= order <= max_n.
 
-    Each of the first max_failures failures keeps the tree as its witness.
+    Each of the first MAX_FAILURES failures keeps the tree as its witness.
     """
     if max_n < 1:
         raise TooSmall(f"a sweep needs max_n >= 1, got {max_n}")
@@ -221,7 +213,7 @@ def sweep(
             total += 1
             if not report.ok:
                 failed += 1
-                if len(failures) < max_failures:
+                if len(failures) < MAX_FAILURES:
                     failures.append(
                         (n, idx, tuple(r.name for r in report.failures), t)
                     )

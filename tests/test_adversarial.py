@@ -94,7 +94,7 @@ SHAPES_1E5 = {
 def test_battery_on_1e5_vertices(shape):
     t = SHAPES_1E5[shape]()
     assert 99_990 <= t.order <= 100_000
-    report = check_tree(t, with_brute=False)
+    report = check_tree(t)
     assert report.ok, report.failures
     assert {"null_basis", "range_basis"} <= {r.name for r in report.results}
 

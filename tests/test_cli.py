@@ -287,4 +287,4 @@ class TestHugeCounts:
 
     def test_check_tree(self, caterpillar_file):
         t, _ = caterpillar_file
-        assert check_tree(t, with_brute=False, with_bases=False).ok
+        assert check_tree(t).ok

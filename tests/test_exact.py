@@ -182,7 +182,8 @@ def test_markowitz_rank_matches_fraction_elimination(rows):
 
 
 def rescan_eliminate(rows):
-    """The elimination before the heap: rescan every active row per pivot."""
+    """The reference elimination: each pivot is the active row of least
+    (length, least column, position), found by a rescan of every row."""
     active = [r for r in rows if r]
     pivots = []
     while active:
@@ -213,7 +214,8 @@ def rescan_eliminate(rows):
 
 
 def sweep_kernel_rows(rows, col_labels):
-    """The kernel before sparse back-substitution: every pivot, every column."""
+    """The reference kernel: back-substitution through every pivot of
+    rescan_eliminate and every column."""
     pivots, _ = rescan_eliminate(rows)
     pivot_set = {pc for pc, _ in pivots}
     basis = []
@@ -240,12 +242,23 @@ def sweep_kernel_rows(rows, col_labels):
 
 
 def assert_same_elimination(rows, cols):
+    """The kernel against the rescan reference's: the same span, and each
+    vector a primitive integer solution, positive at its own free column of
+    exact._eliminate and zero at the others."""
     copy = lambda: [dict(r) for r in rows]
-    assert exact._eliminate(copy()) == rescan_eliminate(copy())
     new, ref = exact._kernel_rows(copy(), cols), sweep_kernel_rows(copy(), cols)
-    assert new == ref
-    # same insertion order too, so nothing downstream can tell them apart
-    assert [list(x) for x in new] == [list(x) for x in ref]
+    assert len(new) == len(ref)
+    vec = lambda x: VertexVector(cols, x)
+    assert exact.span_equal([vec(x) for x in new], [vec(x) for x in ref])
+    pivot_cols = {pc for pc, _, _ in exact._eliminate(copy())}
+    free = [c for c in cols if c not in pivot_cols]
+    assert len(new) == len(free)
+    for f, x in zip(free, new):
+        assert all(type(c) is int and c for c in x.values())
+        assert gcd(*x.values()) == 1
+        assert all(sum(c * x.get(j, 0) for j, c in r.items()) == 0 for r in rows)
+        assert x[f] > 0
+        assert not set(x) & set(free) - {f}
 
 
 @st.composite

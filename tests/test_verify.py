@@ -27,16 +27,12 @@ class TestCheckTree:
         assert "matching_number_brute" in names
         assert "null_basis" in names
 
-    def test_without_brute(self):
-        t = path_tree(30)  # far past the brute-force cap
-        report = check_tree(t, with_brute=False)
-        assert report.ok
-        assert not any("brute" in r.name for r in report.results)
-
     def test_brute_skipped_over_limit(self):
-        report = check_tree(path_tree(20), brute_limit=16)
-        assert report.ok
-        assert not any("brute" in r.name for r in report.results)
+        assert "matching_number_brute" in {r.name for r in check_tree(path_tree(16)).results}
+        for n in (17, 30):  # past the brute-force cap
+            report = check_tree(path_tree(n))
+            assert report.ok
+            assert not any("brute" in r.name for r in report.results)
 
     def test_support_cross_checked_by_certificate(self, monkeypatch):
         # a matching route that drops one supported vertex
@@ -47,7 +43,7 @@ class TestCheckTree:
             return d[1:], nu
 
         monkeypatch.setattr(matching, "deficient_set", short)
-        report = check_tree(fixture_tree("tree8"), with_bases=False)
+        report = check_tree(fixture_tree("tree8"))
         assert "support_is_kernel_support" in {r.name for r in report.failures}
 
     def test_range_basis_cross_checked_by_certificate(self, monkeypatch, tree8):
@@ -89,8 +85,7 @@ class TestCheckTree:
     def test_no_kernel_elimination_or_span_comparison(self, monkeypatch):
         # the certificate needs only tree_rank, kernel equations and ranks
         calls = []
-        for name in ("tree_kernel", "_kernel_rows", "_eliminate", "span_equal",
-                     "column_space_vectors"):
+        for name in ("tree_kernel", "_kernel_rows", "span_equal", "column_space_vectors"):
             orig = getattr(exact, name)
 
             def counting(*args, _name=name, _orig=orig):
