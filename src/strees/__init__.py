@@ -79,7 +79,6 @@ from .ops import (
     CoalescencePlan,
     CoalescenceReport,
     CoalescenceResult,
-    StellareLabel,
     StellareReport,
     StellareResult,
     coalescence_invariants,

@@ -1,17 +1,18 @@
 """Structure operations: stellare, coalescence, and splitting.
 
 stellare(t, ks) hangs ks[i] >= 2 fresh pendant vertices on the i-th vertex of
-t (sorted order); the result is always a support tree whose core is V(t) and
-whose support is the set of new pendants.
+t (sorted order) and maps each vertex of t to its pendants; the result is
+always a support tree whose core is V(t) and whose support is the pendants.
 
 s_coalescence identifies one supported vertex of each part into a single
 fresh star vertex. split_at_support inverts it: splitting a support tree at
 an internal supported vertex v yields one part per neighbor, each carrying a
-fresh copy of v.
+fresh copy of v. split_fully cuts every internal supported vertex at once.
 
-stellare_invariants, coalescence_invariants and split_at_support check
-their closed forms as rows of one identity table (identities.require), so
-a failure names every failed identity with both sides.
+stellare_invariants, coalescence_invariants, split_at_support and
+split_fully check their closed forms as rows of one identity table
+(identities.require), so a failure names every failed identity with both
+sides.
 """
 
 from __future__ import annotations
@@ -31,33 +32,24 @@ from .errors import (
     SpanMismatch,
 )
 from .identities import require
-from .tree import Edge, Tree, VertexVector
-
-
-@dataclass(frozen=True)
-class StellareLabel:
-    """(base, 0) is the original vertex; (base, j) is its j-th new pendant."""
-
-    base: int
-    index: int
+from .tree import Edge, Tree, VertexVector, components
 
 
 @dataclass(frozen=True, eq=False)
 class StellareResult:
     tree: Tree
-    labels: dict[StellareLabel, int]  # label -> vertex id in the result
+    pendants: dict[int, tuple[int, ...]]  # base vertex -> its new pendants, ascending
     arities: tuple[int, ...]
 
     def pendants_of(self, base: int) -> tuple[int, ...]:
-        out = [vid for lab, vid in self.labels.items() if lab.base == base and lab.index > 0]
-        return tuple(sorted(out))
+        return self.pendants.get(base, ())
 
 
 def stellare(t: Tree, ks: Sequence[int]) -> StellareResult:
     """Attach ks[i] pendants to the i-th smallest vertex of t.
 
     New pendant ids are allocated above max(V(t)) deterministically; the
-    label map is the contract for locating them, not the numeric formula.
+    pendants map is the contract for locating them, not the numeric formula.
     """
     if len(ks) != t.order:
         raise BadArity(f"need {t.order} arities, got {len(ks)}")
@@ -68,16 +60,14 @@ def stellare(t: Tree, ks: Sequence[int]) -> StellareResult:
             raise KTooSmall(f"every arity must be >= 2, got {k}")
     base_id = max(t.vertices) + 1
     k_max = max(ks)
-    labels: dict[StellareLabel, int] = {}
+    pendants: dict[int, tuple[int, ...]] = {}
     edges: list[Edge] = list(t.edges())
     for i, v in enumerate(t.vertices):
-        labels[StellareLabel(v, 0)] = v
-        for j in range(1, ks[i] + 1):
-            vid = base_id + i * k_max + (j - 1)
-            labels[StellareLabel(v, j)] = vid
-            edges.append((v, vid))
+        first = base_id + i * k_max
+        pendants[v] = tuple(range(first, first + ks[i]))
+        edges.extend((v, p) for p in pendants[v])
     out = Tree(edges, vertices=t.vertices)
-    return StellareResult(tree=out, labels=labels, arities=tuple(ks))
+    return StellareResult(tree=out, pendants=pendants, arities=tuple(ks))
 
 
 @dataclass(frozen=True)
@@ -209,8 +199,10 @@ def s_coalescence(plan: CoalescencePlan) -> CoalescenceResult:
     if not plan.parts:
         raise NotSupported("a coalescence needs at least one part")
     for idx, (part, attach) in enumerate(plan.parts):
+        if not isinstance(attach, int) or isinstance(attach, bool):
+            raise NotSupported(f"part {idx}: attach vertex must be an integer, got {attach!r}")
         if attach not in part:
-            raise NotSupported(f"part {idx}: attach vertex {attach} not in part")
+            raise NotSupported(f"part {idx}: attach vertex {attach!r} not in part")
         sc = support_core(part)
         if attach not in sc.support:
             raise NotSupported(
@@ -318,9 +310,7 @@ def internal_support(t: Tree) -> tuple[int, ...]:
     return tuple(v for v in sc.support if t.degree(v) > 1)
 
 
-def split_at_support(
-    s: Tree, v: int, _fresh_base: int | None = None
-) -> tuple[tuple[Tree, int], ...]:
+def split_at_support(s: Tree, v: int) -> tuple[tuple[Tree, int], ...]:
     """Split a support tree at an internal supported vertex.
 
     One part per neighbor u of v: the subtree on u's side plus a fresh copy
@@ -332,7 +322,7 @@ def split_at_support(
         raise NotSTree("can only split a support tree")
     if v not in internal_support(s):
         raise NotInternalSupport(f"vertex {v} is not internal support")
-    base = (max(s.vertices) if _fresh_base is None else _fresh_base) + 1
+    base = max(s.vertices) + 1
     out: list[tuple[Tree, int]] = []
     for i, u in enumerate(s.neighbors(v)):
         side = s.subtree_toward(v, u)
@@ -347,27 +337,33 @@ def split_at_support(
 
 
 def split_fully(s: Tree) -> tuple[Tree, ...]:
-    """Split at ascending internal-support vertices until none remain."""
-    cls = classify(s)
-    if not cls.is_support_tree:
+    """Split s at every internal supported vertex, in one pass.
+
+    A split at one internal supported vertex keeps every other vertex's
+    degree and role (the coalescence identities split_at_support checks), so
+    splitting at the smallest one left until none is left cuts exactly
+    internal_support(s). Here all are cut at once: each neighbour u of a cut
+    v gets a fresh leaf copy of v, numbered upward from max(V(s)) in
+    (v, ascending u) order. The pieces come sorted by least vertex.
+    """
+    if not classify(s).is_support_tree:
         raise NotSTree("can only split a support tree")
-    work: list[Tree] = [s]
-    done: list[Tree] = []
-    while work:
-        # always handle the component containing the globally smallest
-        # eligible vertex, so the outcome is order-independent
-        candidates: list[tuple[int, int]] = []
-        for i, part in enumerate(work):
-            isup = internal_support(part)
-            if isup:
-                candidates.append((isup[0], i))
-        if not candidates:
-            done.extend(work)
-            break
-        _, i = min(candidates)
-        part = work.pop(i)
-        v = internal_support(part)[0]
-        fresh_base = max(max(p.vertices) for p in work + done + [part])
-        pieces = split_at_support(part, v, _fresh_base=fresh_base)
-        work.extend(p for p, _ in pieces)
-    return tuple(sorted(done, key=lambda p: p.vertices[0]))
+    cuts = internal_support(s)
+    top = fresh = max(s.vertices)
+    adj = dict(s.adj)
+    copies: dict[int, list[int]] = {}
+    for v in cuts:
+        for u in s.adj[v]:
+            fresh += 1
+            adj[fresh] = (u,)
+            copies.setdefault(u, []).append(fresh)
+    for u, fs in copies.items():
+        adj[u] += tuple(fs)  # above every old id, so the list stays sorted
+    pieces = components(adj, set(adj).difference(cuts))
+    supported = {v for p in pieces for v in support_core(p).support}
+    require(
+        ("parts_are_support_trees", all(classify(p).is_support_tree for p in pieces), True),
+        ("fresh_copies_supported", supported.issuperset(range(top + 1, fresh + 1)), True),
+        ("no_internal_support_left", all(not internal_support(p) for p in pieces), True),
+    )
+    return tuple(pieces)

@@ -24,7 +24,7 @@ comparisons are exact; no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import exact
 from .bases import tree_null_basis, tree_range_basis
@@ -198,7 +198,7 @@ class SweepResult:
         return self.failed == 0
 
 
-def sweep(max_n: int, progress: Callable[[int, int], None] | None = None) -> SweepResult:
+def sweep(max_n: int) -> SweepResult:
     """Run check_tree over every labeled tree with 1 <= order <= max_n.
 
     Each of the first MAX_FAILURES failures keeps the tree as its witness.
@@ -217,8 +217,6 @@ def sweep(max_n: int, progress: Callable[[int, int], None] | None = None) -> Swe
                     failures.append(
                         (n, idx, tuple(r.name for r in report.failures), t)
                     )
-        if progress is not None:
-            progress(n, total)
     return SweepResult(total=total, failed=failed, failures=tuple(failures))
 
 

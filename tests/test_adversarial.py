@@ -1,6 +1,7 @@
 """Adversarial shapes of about 10^4 vertices: the elimination oracle, and the
-builders' own proofs; and the same shapes at about 10^5 vertices through the
-check battery's certificate."""
+builders' own proofs; the same shapes at about 10^5 vertices through the
+check battery's certificate; and the operations on chains of thousands of
+stellare pieces."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from strees.bases import tree_null_basis, tree_range_basis
 from strees.fixtures import path_tree, star_tree
 from strees.generators import random_tree
 from strees.matching import matching_number
-from strees.ops import stellare
+from strees.ops import internal_support, split_fully, stellare
 from strees.tree import Tree
 from strees.verify import check_tree
 
@@ -32,6 +33,18 @@ def spider(legs: int, length: int) -> Tree:
         for _ in range(length):
             edges.append((prev, nxt))
             prev, nxt = nxt, nxt + 1
+    return Tree(edges)
+
+
+def stellare_chain(pieces: int) -> Tree:
+    """c_i = 4i with leaves 4i + 1 and 4i + 2, joined c_i - s_i - c_(i+1) through
+    s_i = 4i + 3: each s_i is an internal supported vertex."""
+    edges = []
+    for i in range(pieces):
+        c = 4 * i
+        edges += [(c, c + 1), (c, c + 2)]
+        if i + 1 < pieces:
+            edges += [(c, c + 3), (c + 3, c + 4)]
     return Tree(edges)
 
 
@@ -104,3 +117,16 @@ def test_large_range_basis_proves_itself(shape):
     t = SHAPES[shape]()
     rb = tree_range_basis(t)
     assert len(rb.vectors) == 2 * matching_number(t)
+
+
+# One pass: every s_i is cut at once, so 2,000 pieces take well under a second.
+def test_split_fully_stellare_chain_of_2000():
+    t = stellare_chain(2_000)
+    assert t.order == 7_999
+    pieces = split_fully(t)
+    assert len(pieces) == 2_000
+    for i, p in enumerate(pieces):
+        copies = tuple(7_998 + 2 * i + j for j in (0, 1) if 0 < i + j < 2_000)
+        assert p.vertices == (4 * i, 4 * i + 1, 4 * i + 2) + copies
+        assert p.neighbors(4 * i) == p.vertices[1:]
+        assert internal_support(p) == ()

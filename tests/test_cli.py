@@ -136,6 +136,15 @@ class TestBuildCommands:
         code, _, err = run(capsys, "coalesce", str(p))
         assert code == 1
 
+    @pytest.mark.parametrize("attach", [True, 1.0, "1"])
+    def test_coalesce_rejects_non_integer_attach(self, capsys, tmp_path, attach):
+        part = {"tree": {"vertices": [1, 2, 3], "edges": [[1, 2], [1, 3]]}, "attach": attach}
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps({"parts": [part, part]}))
+        code, out, err = run(capsys, "coalesce", str(p))
+        assert (code, out) == (1, "")
+        assert f"part 0: attach vertex must be an integer, got {attach!r}" in err
+
     def test_random_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "random", "--n", "9", "--seed", "5")
         code2, out2, _ = run(capsys, "random", "--n", "9", "--seed", "5")

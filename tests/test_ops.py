@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from freetrees import canonical_form
 from strees import exact, matching, ops
-from strees.decomposition import SupportCore, classify, support_core
+from strees.decomposition import SupportCore, classify, decompose, support_core
 from strees.errors import (
     BadArity,
     FormulaMismatch,
@@ -12,10 +14,10 @@ from strees.errors import (
     NotSupported,
 )
 from strees.fixtures import path_tree
+from strees.generators import random_s_tree, random_tree
 from strees.matching import matching_number_and_count
 from strees.ops import (
     CoalescencePlan,
-    StellareLabel,
     coalescence_invariants,
     internal_support,
     s_coalescence,
@@ -26,6 +28,7 @@ from strees.ops import (
     stellare_invariants,
 )
 from strees.tree import Tree
+from test_adversarial import stellare_chain
 
 
 def k1():
@@ -36,18 +39,32 @@ class TestStellare:
     def test_single_vertex_becomes_path3(self):
         res = stellare(k1(), [2])
         assert canonical_form(res.tree) == canonical_form(path_tree(3))
-        assert res.labels[StellareLabel(0, 0)] in res.tree
-        assert len(res.pendants_of(0)) == 2
+        assert res.pendants == {0: (1, 2)}
+        assert res.pendants_of(0) == (1, 2)
 
     def test_p2_both_doubled(self):
         res = stellare(Tree([(1, 2)]), [2, 2])
         assert res.tree.order == 6
+        assert res.pendants == {1: (3, 4), 2: (5, 6)}
         # every original vertex keeps its pendants attached directly
-        for base in (1, 2):
-            centre = res.labels[StellareLabel(base, 0)]
-            for p in res.pendants_of(base):
-                assert p in res.tree.adj[centre]
+        for base, ps in res.pendants.items():
+            for p in ps:
+                assert p in res.tree.adj[base]
                 assert res.tree.degree(p) == 1
+
+    def test_pendants_partition_the_new_vertices(self):
+        rng = random.Random(19)
+        for _ in range(50):
+            t = random_tree(rng.randrange(1, 15), seed=rng.randrange(2**31))
+            ks = [rng.randrange(2, 6) for _ in t.vertices]
+            res = stellare(t, ks)
+            old = set(t.vertices)
+            new = [p for v in t.vertices for p in res.pendants[v]]
+            assert sorted(new) == sorted(set(res.tree.vertices) - old)
+            for v, k in zip(t.vertices, ks):
+                assert res.pendants[v] == tuple(sorted(set(res.tree.adj[v]) - old))
+                assert len(res.pendants[v]) == k
+                assert res.pendants_of(v) == res.pendants[v]
 
     def test_matches_double_star_fixture(self, tree6):
         res = stellare(Tree([(1, 2)]), [2, 2])
@@ -232,3 +249,62 @@ class TestSplit:
         assert len(forest) == 2
         for part in forest:
             assert internal_support(part) == ()
+
+    def test_split_fully_checks_the_pieces(self, monkeypatch, tree8):
+        # a support that misses its largest vertex, the fresh copy in each piece
+        honest = ops.support_core
+        monkeypatch.setattr(
+            ops, "support_core", lambda t: SupportCore(honest(t).support[:-1], honest(t).core)
+        )
+        with pytest.raises(FormulaMismatch) as e:
+            split_fully(tree8)
+        assert e.value.failures == (("fresh_copies_supported", False, True),)
+
+    def test_split_fully_matches_one_at_a_time(self):
+        split_trees = 0
+        for s in split_families():
+            got = split_fully(s)
+            want = split_one_at_a_time(s)
+            assert [(p.vertices, p.edges()) for p in got] == [(p.vertices, p.edges()) for p in want]
+            split_trees += len(got) > 1
+        assert split_trees == 853
+
+
+def split_one_at_a_time(s: Tree) -> tuple[Tree, ...]:
+    """Reference for split_fully: split the piece that holds the smallest
+    internal supported vertex left, one vertex at a time, numbering the fresh
+    copies above every id in use."""
+    work = [s]
+    while True:
+        candidates = [(internal_support(p)[0], i) for i, p in enumerate(work) if internal_support(p)]
+        if not candidates:
+            return tuple(sorted(work, key=lambda p: p.vertices[0]))
+        v, i = min(candidates)
+        part = work.pop(i)
+        top = max(max(p.vertices) for p in work + [part])
+        for j, u in enumerate(part.neighbors(v)):
+            side = part.subtree_toward(v, u)
+            work.append(Tree(list(side.edges()) + [(u, top + 1 + j)], vertices=side.vertices))
+
+
+def split_families():
+    """Chains, the support parts of random trees, random S-trees, stellare
+    and coalescences of stellare: 1,465 support trees, 853 of which split."""
+    rng = random.Random(1)
+    for n in range(1, 41):
+        yield stellare_chain(n)
+    for _ in range(400):
+        t = random_tree(rng.randrange(1, 80), seed=rng.randrange(2**31))
+        yield from decompose(t).support_parts
+    for _ in range(300):
+        yield random_s_tree(rng.randrange(1, 60), seed=rng.randrange(2**31))
+    for _ in range(100):
+        t = random_tree(rng.randrange(1, 12), seed=rng.randrange(2**31))
+        yield stellare(t, [rng.randrange(2, 5) for _ in t.vertices]).tree
+    for _ in range(100):
+        parts = []
+        for _ in range(rng.randrange(1, 4)):
+            t = random_tree(rng.randrange(1, 6), seed=rng.randrange(2**31))
+            res = stellare(t, [rng.randrange(2, 4) for _ in t.vertices])
+            parts.append((res.tree, rng.choice(res.pendants[rng.choice(t.vertices)])))
+        yield s_coalescence(CoalescencePlan(tuple(parts))).tree

@@ -180,11 +180,6 @@ class TestSweep:
         with pytest.raises(TooSmall):
             sweep(0)
 
-    def test_progress_callback(self):
-        seen = []
-        sweep(3, progress=lambda n, total: seen.append((n, total)))
-        assert seen == [(1, 1), (2, 2), (3, 5)]
-
 
 class TestFixtureChecks:
     def test_all_pass(self):
