@@ -11,15 +11,18 @@ The forest of basic subtrees is grown greedily: seed a subtree, swap its
 pendants to reach sibling leaves, graft its branches to reach pendants
 hanging off already-covered core vertices, then recurse into the remaining
 components with a branch of the seed attached. Each such thread carries its
-own subtree of the atom; seeds grow from a heap of bordering core vertices,
+own subtree of an atom; seeds grow from a heap of bordering core vertices,
 and swaps and grafts take one ascending pass over the thread's uncovered
 pendants. Growth thus costs about the threads' sizes plus the size of the
-basics emitted. A basic is proven by its shape and by its vector solving
-the atom's kernel equations, with no classification. Accounting rows (one per
-emitted basic, columns indexed by atom vertices) witness that the number of
-basics is exactly support - core: each vertex is first covered by exactly
-one basic, every seed row sums to +1 and every other row is a single +1.
-The rows are kept sparse, as {vertex: value}, and expanded on demand.
+basics emitted. One growth serves both builders: forest_basis starts it
+from one atom, and tree_null_basis from all the atoms of a tree at once,
+over the whole tree with its support and core, so no atom derives its own.
+A basic is proven by its shape and by its vector solving the host's kernel
+equations, with no classification. Accounting rows (one per emitted basic,
+columns indexed by atom vertices) witness that the number of basics is
+exactly support - core: each vertex is first covered by exactly one basic,
+every seed row sums to +1 and every other row is a single +1. The rows are
+kept sparse, as {vertex: value}, and expanded on demand.
 
 Range: a core vertex contributes its unit vector and the indicator of its
 supported neighbors (its bouquet); the vertices outside the closed support,
@@ -30,10 +33,11 @@ matching: the kernel has order - 2*nu, the range 2*nu. Null vectors are
 checked against the adjacency equations next to their support. A range
 vector x lies in the column space when x - A y vanishes on the matching
 D-set, which holds the kernel's support: y = 0 for a unit, y = e_c for the
-bouquet of core c. Independence is proven by peeling (exact.peel_independent),
-per atom for the null space, as atoms are disjoint, and over the whole
-family for the range. Failures raise ValidationFailed or SpanMismatch and
-are never swallowed.
+bouquet of core c. Independence is proven by peeling (exact.peel_independent):
+once over the whole null family, which is the same as atom by atom since
+atoms are disjoint, and over the bouquets alone for the range, as every
+other range vector holds a column no other vector holds. Failures raise
+ValidationFailed or SpanMismatch and are never swallowed.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import Iterable
 
 from . import exact, matching
 from .decomposition import atom_set, classify, support_core
@@ -50,7 +55,11 @@ from .tree import Tree, VertexVector, components
 
 @dataclass(frozen=True, eq=False)
 class BasicSubtree:
-    """A basis-generating subtree of a host atom, with its chosen pendant."""
+    """A basis-generating subtree of an atom, with its chosen pendant.
+
+    host is the atom, or the tree it was cut from, whose domain the
+    subtree's vector lives on.
+    """
 
     tree: Tree
     host: Tree
@@ -60,10 +69,13 @@ class BasicSubtree:
 def _basic(
     tree: Tree, host: Tree, supp: set[int], core: set[int]
 ) -> tuple[BasicSubtree, VertexVector]:
-    """Prove a subtree of the host atom basic; return it with its vector.
+    """Prove a subtree of an atom basic; return it with its vector.
 
-    In an atom every edge joins a supported vertex to a core one, as the
-    support is independent and an atom has no core-core edges. A subtree in
+    The host is the atom, or the tree it was cut from with that tree's
+    support and core: only core-core edges are cut, so a supported vertex
+    has the same neighbors in both, and its vector lives on the host's
+    domain. In an atom every edge joins a supported vertex to a core one, as
+    the support is independent and an atom has no core-core edges. A subtree in
     which every core vertex has degree two and every supported vertex keeps
     all its host neighbors is therefore bipartite, and has a core vertex
     unless the host is a single vertex. Its alternating vector, from a
@@ -141,9 +153,9 @@ def grow_basic_subtree(atom: Tree, seed: int) -> BasicSubtree:
 
 
 def _grow(
-    atom: Tree, h: Tree, seed: int, supp: set[int], core: set[int]
+    host: Tree, h: Tree, seed: int, supp: set[int], core: set[int]
 ) -> tuple[BasicSubtree, VertexVector]:
-    """grow_basic_subtree within h, the atom's subtree induced on h's vertices.
+    """grow_basic_subtree within h, a subtree of an atom, checked against host.
 
     A heap holds every core vertex that has bordered the growing set. The set
     only grows, so the smallest entry outside it is the smallest bordering
@@ -193,7 +205,7 @@ def _grow(
 
     verts = tuple(sorted(b))
     adj = {v: tuple(w for w in h.adj[v] if w in b) for v in verts}
-    return _basic(Tree._trusted(verts, adj), atom, supp, core)
+    return _basic(Tree._trusted(verts, adj), host, supp, core)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +242,8 @@ def forest_basis(atom: Tree) -> ForestBasis:
     branch grafting, and recursion into the remaining components. Every
     emitted vector is validated against the atom's kernel equations; the
     final family must have the kernel's dimension, order - 2*nu, and be
-    independent, so it is a basis.
+    independent, so it is a basis. A single vertex is its own basic: the
+    seed alone, with its unit vector.
 
     Independence is proven by peeling. It succeeds, retiring from the last
     basic back, whenever each basic holds a supported vertex that no earlier
@@ -243,31 +256,41 @@ def forest_basis(atom: Tree) -> ForestBasis:
     if not classify(atom).is_atom:
         raise NotAtom("null-space bases are built per atom")
     sc = support_core(atom)
-    supp, core = set(sc.support), set(sc.core)
-    cols = atom.vertices
+    nullity = atom.order - 2 * matching.deficient_set(atom)[1]
+    emitted = _grow_forest([atom], atom, set(sc.support), set(sc.core), nullity)
+    basics, vectors, markers = zip(*emitted)
+    return ForestBasis(
+        host=atom, basics=basics, vectors=vectors, columns=atom.vertices, markers=markers
+    )
 
-    if atom.order == 1:
-        v = atom.vertices[0]
-        single = BasicSubtree(tree=atom, host=atom, pendant=v)
-        vec = VertexVector.unit(cols, v)
-        return ForestBasis(
-            host=atom,
-            basics=(single,),
-            vectors=(vec,),
-            columns=cols,
-            markers=({v: 1},),
-        )
 
+Emitted = tuple[BasicSubtree, VertexVector, dict[int, int]]
+
+
+def _grow_forest(
+    threads: Iterable[Tree], host: Tree, supp: set[int], core: set[int], nullity: int
+) -> list[Emitted]:
+    """Grow the basics of every atom in `threads` over host, then prove them.
+
+    Each thread is a subtree of one atom: the atom itself, or the part of it
+    a recursion step left, with a seed branch attached. supp and core are
+    the host's, and host is the atom itself or the whole tree the atoms were
+    cut from. Basics are checked against host (their vectors live on its
+    domain) and come with their accounting rows. The family must have
+    len(supp) - len(core) = nullity vectors and peel; atoms are
+    vertex-disjoint, so one peel over all of them proves what a peel per
+    atom would.
+    """
     used: set[int] = set()  # vertices already counted by some basic
-    emitted: list[tuple[BasicSubtree, VertexVector, dict[int, int]]] = []
-    # a thread is the subtree of the atom induced on the vertices it covers
-    threads: deque[Tree] = deque([atom])
-    while threads:
-        h = threads.popleft()
+    emitted: list[Emitted] = []
+    # a thread is the subtree of an atom induced on the vertices it covers
+    queue: deque[Tree] = deque(threads)
+    while queue:
+        h = queue.popleft()
 
         # (a) seed a basic subtree at the smallest supported vertex
         seed = min(v for v in h.vertices if v in supp)
-        seeded, seed_vector = _grow(atom, h, seed, supp, core)
+        seeded, seed_vector = _grow(host, h, seed, supp, core)
         seed_row = {
             v: (-1 if v in core else 1)
             for v in seeded.tree.vertices
@@ -303,7 +326,7 @@ def forest_basis(atom: Tree) -> ForestBasis:
             del adj[leaf]
             adj[v] = (c,)
             adj[c] = tuple(sorted([w for w in adj[c] if w != leaf] + [v]))
-            nxt, vec = _basic(Tree._trusted(tuple(sorted(adj)), adj), atom, supp, core)
+            nxt, vec = _basic(Tree._trusted(tuple(sorted(adj)), adj), host, supp, core)
             emitted.append((nxt, vec, {v: 1}))
             used.add(v)
             round_used.add(v)
@@ -324,7 +347,7 @@ def forest_basis(atom: Tree) -> ForestBasis:
             adj[x] = (w, v) if w < v else (v, w)
             adj[v] = (x,)
             grafted = Tree._trusted(tuple(sorted(adj)), adj)
-            emitted.append((*_basic(grafted, atom, supp, core), {v: 1}))
+            emitted.append((*_basic(grafted, host, supp, core), {v: 1}))
             used.add(v)
             round_used.add(v)
 
@@ -347,21 +370,17 @@ def forest_basis(atom: Tree) -> ForestBasis:
             adj = {**comp.adj, **branch.adj}
             adj[entry] = tuple(sorted(comp.adj[entry] + (out,)))
             adj[out] = tuple(sorted(branch.adj[out] + (entry,)))
-            threads.append(Tree._trusted(tuple(sorted(adj)), adj))
+            queue.append(Tree._trusted(tuple(sorted(adj)), adj))
 
-    basics, vectors, markers = zip(*emitted)
     expect = len(supp) - len(core)
-    if len(vectors) != expect:
+    if len(emitted) != expect:
         raise ValidationFailed(
-            f"emitted {len(vectors)} basics, expected support - core = {expect}"
+            f"emitted {len(emitted)} basics, expected support - core = {expect}"
         )
-    nullity = atom.order - 2 * matching.deficient_set(atom)[1]
-    if len(vectors) != nullity:
-        raise SpanMismatch(f"{len(vectors)} basics for a kernel of dimension {nullity}")
-    exact.peel_independent(vectors)
-    return ForestBasis(
-        host=atom, basics=basics, vectors=vectors, columns=cols, markers=markers
-    )
+    if len(emitted) != nullity:
+        raise SpanMismatch(f"{len(emitted)} basics for a kernel of dimension {nullity}")
+    exact.peel_independent([x for _, x, _ in emitted])
+    return emitted
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,7 +400,10 @@ def _range_family(t: Tree) -> list[tuple[VertexVector, str]]:
     x - A y zero on the D-set, which holds the kernel's support: y = 0 for
     a unit, as units sit outside the D-set, and y = e_c for the bouquet of
     core c, as c's other neighbors are core or nonsingular. Independence:
-    peeling. Units and core units each hold their own vertex alone. Rooted
+    a unit sits outside the closed support and a core unit on a core
+    vertex, and no bouquet holds either, so each of them is the only holder
+    of its column and retires first. The family is therefore independent
+    iff its bouquets are, and only the bouquets are peeled. Rooted
     anywhere, a core vertex has two or more supported neighbors, so one is
     its child, which only deeper cores' bouquets also hold; peeling retires
     the bouquets from the deepest core up.
@@ -402,7 +424,7 @@ def _range_family(t: Tree) -> list[tuple[VertexVector, str]]:
     for x, _, y in family:
         if not exact.in_column_space_by_witness(t, supp, x, y):
             raise SpanMismatch("range vector leaves the column space")
-    exact.peel_independent([x for x, _, _ in family])
+    exact.peel_independent([x for x, role, _ in family if role == "bouquet"])
     return [(x, role) for x, role, _ in family]
 
 
@@ -427,30 +449,32 @@ def _order_key(x: VertexVector) -> tuple:
 
 
 def tree_null_basis(t: Tree) -> tuple[VertexVector, ...]:
-    """Signed basis of the whole tree's null space, atom by atom.
+    """Signed basis of the whole tree's null space, grown over its atoms.
 
     Exactly nullity vectors with entries in {-1, 0, 1}, each satisfying the
-    kernel equations, ordered by smallest supported vertex. forest_basis
-    proves each atom's family a basis of that atom's kernel; the atoms are
-    vertex-disjoint, so the lifted families stay independent, and with the
-    count equal to the nullity, order - 2*nu, they form a basis of the
-    tree's kernel.
+    kernel equations, ordered by smallest supported vertex. One growth runs
+    over all of t's atoms as its starting threads, with t as the host and
+    t's own support and core; no atom derives its own. The proof is the
+    one forest_basis gives per atom, made once on the whole tree:
+
+    - Shape. Only core-core edges (bonds) are cut to form the atoms, so a
+      supported vertex keeps all its tree neighbors in its atom, and the
+      shape check of each basic against t is the check against its atom.
+    - Kernel. Each vector is checked to solve A(t) x = 0 directly, on t's
+      domain, when its basic is accepted.
+    - Count. The family has |support| - |core| vectors, the per-atom
+      accounting summed over the atoms, and n - 2*nu(t), the nullity.
+    - Independence. One peel over the whole family. Atoms are
+      vertex-disjoint, so it retires what a peel per atom would.
+
+    A tree of order 1 is one atom and keeps its unit vector; no atom of a
+    larger tree has a single vertex, as every supported vertex there has a
+    core neighbor in its atom.
     """
-    out: list[VertexVector] = []
-    for a in atom_set(t).atoms:
-        for x in forest_basis(a).vectors:
-            out.append(VertexVector._trusted(t.vertices, dict(x.entries)))
-    out.sort(key=_order_key)
-    vecs = tuple(out)
+    sc = support_core(t)
     nullity = t.order - 2 * matching.deficient_set(t)[1]
-    if len(vecs) != nullity:
-        raise ValidationFailed(
-            f"null basis has {len(vecs)} vectors, kernel dimension is {nullity}"
-        )
-    for x in vecs:
-        if not exact.in_adjacency_kernel(t, x):
-            raise ValidationFailed("lifted null vector fails the kernel equations")
-    return vecs
+    emitted = _grow_forest(atom_set(t).atoms, t, set(sc.support), set(sc.core), nullity)
+    return tuple(sorted((x for _, x, _ in emitted), key=_order_key))
 
 
 def tree_range_basis(t: Tree) -> RangeBasis:

@@ -566,6 +566,8 @@ def brute_force(t: Tree, limit: int = 16) -> OracleReport:
 
     independent(full, 0, 0)
     matchings(0, 0, [])
+    # each closure's cell refers to the closure itself: break the cycles
+    del independent, matchings
     edges = t.edges()
     return OracleReport(
         order=n,

@@ -24,6 +24,7 @@ comparisons are exact; no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from . import exact
@@ -64,10 +65,17 @@ class VerifyReport:
         return tuple(r for r in self.results if not r.ok)
 
 
+@cache
+def _passed(name: str) -> CheckResult:
+    """The result of a passed row: immutable, so one object per row name
+    serves every report. Row names are a fixed set, so the cache stays small."""
+    return CheckResult(name, True)
+
+
 def _results(rows: Iterable[Row]) -> tuple[CheckResult, ...]:
     """One CheckResult per row; only a failed row's detail is formatted."""
     return tuple(
-        CheckResult(name, True) if got == want else CheckResult(name, False, mismatch(got, want))
+        _passed(name) if got == want else CheckResult(name, False, mismatch(got, want))
         for name, got, want in rows
     )
 

@@ -1,8 +1,9 @@
+import random
 import tracemalloc
 
 import pytest
 
-from strees import bases, exact
+from strees import bases, exact, matching
 from strees.bases import (
     BasicSubtree,
     atom_range_basis,
@@ -13,11 +14,13 @@ from strees.bases import (
     tree_null_basis,
     tree_range_basis,
 )
-from strees.decomposition import atom_set
-from strees.errors import NotAtom, TooSmall, ValidationFailed
+from strees.decomposition import SupportCore, atom_set, support_core
+from strees.errors import NotAtom, SpanMismatch, TooSmall, ValidationFailed
 from strees.fixtures import path_tree, star_tree
-from strees.generators import random_tree
+from strees.generators import enumerate_trees, random_s_tree, random_tree
+from strees.ops import CoalescencePlan, s_coalescence, stellare
 from strees.tree import Tree, VertexVector
+from test_adversarial import caterpillar, spider
 
 
 def entries(x):
@@ -192,6 +195,78 @@ class TestTreeNullBasis:
         nb = tree_null_basis(tree6)
         assert [entries(x) for x in nb] == [{1: 1, 3: -1}, {4: 1, 6: -1}]
 
+    def test_matches_forest_basis_per_atom(self):
+        for t in reference_trees():
+            assert tree_null_basis(t) == composed_null_basis(t)
+
+    def test_atoms_derive_nothing(self):
+        t = caterpillar(60, 2)
+        atoms = atom_set(t).atoms
+        assert len(atoms) == 60
+        tree_null_basis(t)
+        key = f"{matching.__name__}.deficient_set"
+        assert key in t._memo
+        assert [a for a in atoms if key in a._memo and a.vertices != t.vertices] == []
+
+    def test_kernel_failure_raises(self, monkeypatch):
+        t = caterpillar(5, 2)
+        calls = []
+        orig = exact.in_adjacency_kernel
+
+        def fail_third(host, x):
+            calls.append(host)
+            return orig(host, x) and len(calls) != 3
+
+        monkeypatch.setattr(exact, "in_adjacency_kernel", fail_third)
+        with pytest.raises(ValidationFailed, match="kernel equations"):
+            tree_null_basis(t)
+        assert all(host is t for host in calls)
+
+    def test_wrong_length_raises(self, monkeypatch, tree8):
+        # tree8's growth recurses into one component; dropping that thread
+        # leaves the family a basic short
+        orig = bases.components
+        monkeypatch.setattr(bases, "components", lambda adj, keep: orig(adj, keep)[:-1])
+        with pytest.raises(ValidationFailed, match="support - core"):
+            tree_null_basis(tree8)
+
+
+def composed_null_basis(t):
+    """forest_basis per atom, lifted to t's domain and sorted, as
+    tree_null_basis was composed before it grew all atoms in one pass."""
+    out = [
+        VertexVector._trusted(t.vertices, dict(x.entries))
+        for a in atom_set(t).atoms
+        for x in forest_basis(a).vectors
+    ]
+    out.sort(key=bases._order_key)
+    return tuple(out)
+
+
+def reference_trees():
+    for n in range(1, 8):
+        yield from enumerate_trees(n)
+    rng = random.Random(20)
+    for i in range(40):
+        yield random_tree(rng.randint(2, 400), i)
+        yield random_s_tree(rng.randint(2, 400), i)
+    for k in (1, 2, 7, 60):
+        yield star_tree(k)
+    for spine, legs in ((1, 2), (2, 2), (9, 2), (30, 3), (12, 5)):
+        yield caterpillar(spine, legs)
+    for legs, length in ((3, 1), (3, 2), (8, 3), (5, 4), (40, 3)):
+        yield spider(legs, length)
+    for i in range(10):
+        base = random_tree(rng.randint(1, 12), 100 + i)
+        once = stellare(base, [rng.randint(2, 3) for _ in base.vertices]).tree
+        yield stellare(once, [2] * once.order).tree
+        parts = []
+        for j in range(3):
+            small = random_tree(rng.randint(1, 8), 200 + 3 * i + j)
+            piece = stellare(small, [2] * small.order)
+            parts.append((piece.tree, piece.pendants_of(small.vertices[0])[0]))
+        yield s_coalescence(CoalescencePlan(tuple(parts))).tree
+
 
 class TestRangeBases:
     def test_atom_range_roles(self, tree18):
@@ -233,6 +308,18 @@ class TestRangeBases:
         # nonsingular-part vertices contribute plain units
         units = [entries(x) for x, r in zip(rb.vectors, rb.roles) if r == "unit"]
         assert {tuple(u) for u in units} == {(13,), (14,), (15,), (16,), (17,), (18,)}
+
+    def test_repeated_bouquet_fails_the_peel(self, monkeypatch, tree8):
+        # units and core units each hold a column alone, so only the bouquets
+        # are peeled; a core listed twice repeats its bouquet, and the count
+        # is raised to match so that only the peel can object
+        sc = support_core(tree8)
+        d, nu = matching.deficient_set(tree8)
+        doubled = SupportCore(sc.support, (sc.core[0], *sc.core))
+        monkeypatch.setattr(bases, "support_core", lambda t: doubled)
+        monkeypatch.setattr(matching, "deficient_set", lambda t: (d, nu + 1))
+        with pytest.raises(SpanMismatch, match="peeling"):
+            tree_range_basis(tree8)
 
     def test_full_rank_tree_all_units(self):
         p4 = path_tree(4)

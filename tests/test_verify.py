@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -7,7 +8,7 @@ from strees.bases import RangeBasis, tree_null_basis, tree_range_basis
 from strees.decomposition import invariant_report
 from strees.errors import FormulaMismatch, TooSmall
 from strees.fixtures import fixture_tree, path_tree, star_tree
-from strees.generators import random_tree
+from strees.generators import enumerate_trees, random_tree
 from strees.identities import require
 from strees.tree import Tree, VertexVector
 from strees.verify import check_tree, fixture_checks, sweep
@@ -153,6 +154,27 @@ class TestCheckTree:
             "null_basis",
             "range_basis",
         ]
+
+
+    def test_leaves_no_cycles(self):
+        # the library makes no reference cycles, so a tree's cached structure
+        # and every report go when their last reference does
+        trees = [t for n in range(1, 7) for t in enumerate_trees(n)]
+        trees += [random_tree(16, seed) for seed in range(50)]
+        gc.collect()
+        gc.disable()
+        try:
+            for t in trees:
+                check_tree(t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_passed_rows_share_one_result_per_name(self, tree8, tree18):
+        first, second = check_tree(tree8).results, check_tree(tree18).results
+        assert all(type(r) is verify.CheckResult and r.ok for r in first + second)
+        by_name = {r.name: r for r in first}
+        assert all(by_name[r.name] is r for r in second if r.name in by_name)
 
 
 class TestIdentityTable:
