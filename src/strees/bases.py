@@ -243,7 +243,8 @@ def forest_basis(atom: Tree) -> ForestBasis:
     emitted vector is validated against the atom's kernel equations; the
     final family must have the kernel's dimension, order - 2*nu, and be
     independent, so it is a basis. A single vertex is its own basic: the
-    seed alone, with its unit vector.
+    seed alone, with its unit vector. Each accounting row is read off the
+    basics: the signed indicator (-1 on core) of what its basic covers first.
 
     Independence is proven by peeling. It succeeds, retiring from the last
     basic back, whenever each basic holds a supported vertex that no earlier
@@ -256,33 +257,35 @@ def forest_basis(atom: Tree) -> ForestBasis:
     if not classify(atom).is_atom:
         raise NotAtom("null-space bases are built per atom")
     sc = support_core(atom)
+    core = set(sc.core)
     nullity = atom.order - 2 * matching.deficient_set(atom)[1]
-    emitted = _grow_forest([atom], atom, set(sc.support), set(sc.core), nullity)
-    basics, vectors, markers = zip(*emitted)
+    basics, vectors = zip(*_grow_forest([atom], atom, set(sc.support), core, nullity))
+    covered: set[int] = set()
+    markers = []
+    for b in basics:
+        fresh = [v for v in b.tree.vertices if v not in covered]
+        markers.append({v: (-1 if v in core else 1) for v in fresh})
+        covered.update(fresh)
     return ForestBasis(
-        host=atom, basics=basics, vectors=vectors, columns=atom.vertices, markers=markers
+        host=atom, basics=basics, vectors=vectors, columns=atom.vertices, markers=tuple(markers)
     )
-
-
-Emitted = tuple[BasicSubtree, VertexVector, dict[int, int]]
 
 
 def _grow_forest(
     threads: Iterable[Tree], host: Tree, supp: set[int], core: set[int], nullity: int
-) -> list[Emitted]:
+) -> list[tuple[BasicSubtree, VertexVector]]:
     """Grow the basics of every atom in `threads` over host, then prove them.
 
     Each thread is a subtree of one atom: the atom itself, or the part of it
     a recursion step left, with a seed branch attached. supp and core are
     the host's, and host is the atom itself or the whole tree the atoms were
     cut from. Basics are checked against host (their vectors live on its
-    domain) and come with their accounting rows. The family must have
-    len(supp) - len(core) = nullity vectors and peel; atoms are
-    vertex-disjoint, so one peel over all of them proves what a peel per
-    atom would.
+    domain). The family must have len(supp) - len(core) = nullity vectors
+    and peel; atoms are vertex-disjoint, so one peel over all of them proves
+    what a peel per atom would.
     """
     used: set[int] = set()  # vertices already counted by some basic
-    emitted: list[Emitted] = []
+    emitted: list[tuple[BasicSubtree, VertexVector]] = []
     # a thread is the subtree of an atom induced on the vertices it covers
     queue: deque[Tree] = deque(threads)
     while queue:
@@ -291,12 +294,7 @@ def _grow_forest(
         # (a) seed a basic subtree at the smallest supported vertex
         seed = min(v for v in h.vertices if v in supp)
         seeded, seed_vector = _grow(host, h, seed, supp, core)
-        seed_row = {
-            v: (-1 if v in core else 1)
-            for v in seeded.tree.vertices
-            if v not in used
-        }
-        emitted.append((seeded, seed_vector, seed_row))
+        emitted.append((seeded, seed_vector))
         used.update(seeded.tree.vertices)
         round_used: set[int] = set(seeded.tree.vertices)
         current = seeded.tree
@@ -327,7 +325,7 @@ def _grow_forest(
             adj[v] = (c,)
             adj[c] = tuple(sorted([w for w in adj[c] if w != leaf] + [v]))
             nxt, vec = _basic(Tree._trusted(tuple(sorted(adj)), adj), host, supp, core)
-            emitted.append((nxt, vec, {v: 1}))
+            emitted.append((nxt, vec))
             used.add(v)
             round_used.add(v)
             current = nxt.tree
@@ -347,7 +345,7 @@ def _grow_forest(
             adj[x] = (w, v) if w < v else (v, w)
             adj[v] = (x,)
             grafted = Tree._trusted(tuple(sorted(adj)), adj)
-            emitted.append((*_basic(grafted, host, supp, core), {v: 1}))
+            emitted.append(_basic(grafted, host, supp, core))
             used.add(v)
             round_used.add(v)
 
@@ -379,7 +377,7 @@ def _grow_forest(
         )
     if len(emitted) != nullity:
         raise SpanMismatch(f"{len(emitted)} basics for a kernel of dimension {nullity}")
-    exact.peel_independent([x for _, x, _ in emitted])
+    exact.peel_independent([x for _, x in emitted])
     return emitted
 
 
@@ -474,7 +472,7 @@ def tree_null_basis(t: Tree) -> tuple[VertexVector, ...]:
     sc = support_core(t)
     nullity = t.order - 2 * matching.deficient_set(t)[1]
     emitted = _grow_forest(atom_set(t).atoms, t, set(sc.support), set(sc.core), nullity)
-    return tuple(sorted((x for _, x, _ in emitted), key=_order_key))
+    return tuple(sorted((x for _, x in emitted), key=_order_key))
 
 
 def tree_range_basis(t: Tree) -> RangeBasis:

@@ -173,7 +173,7 @@ def _emit_tree(t: Tree, fmt: str, extra: dict | None = None, header: str = "") -
             obj.update(extra)
         return _json_out(obj)
     if fmt == "dot":
-        return render_dot(t, decompose(t), atom_set(t))
+        return render_dot(t)
     return (header + tree_to_edge_text(t)) if header else tree_to_edge_text(t)
 
 
@@ -183,7 +183,7 @@ def _run_decompose(args) -> str:
     if args.format == "json":
         return _json_out(decomposition_to_json(dec))
     if args.format == "dot":
-        return render_dot(t, dec, atom_set(t))
+        return render_dot(t)
     lines = [
         "support: " + " ".join(map(str, dec.support)),
         "core: " + " ".join(map(str, dec.core)),
@@ -203,7 +203,7 @@ def _run_atoms(args) -> str:
     if args.format == "json":
         return _json_out(atom_set_to_json(ats))
     if args.format == "dot":
-        return render_dot(t, decompose(t), ats)
+        return render_dot(t)
     lines = []
     for a, sc in zip(ats.atoms, ats.atom_support_cores):
         lines.append("atom: " + " ".join(map(str, a.vertices)))

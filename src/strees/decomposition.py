@@ -72,8 +72,8 @@ def decompose(t: Tree) -> NullDecomposition:
     if len(closed) == t.order:
         s_parts, n_parts = [twin(t)], []  # one part, with what t has derived so far
     else:
-        s_parts = t.components_within(closed) if closed else []
-        n_parts = t.components_within(set(t.vertices) - closed)
+        s_parts = components(t.adj, closed)
+        n_parts = components(t.adj, set(t.vertices) - closed)
     connection = tuple(e for e in t.edges() if (e[0] in closed) != (e[1] in closed))
     part_classes = tuple(
         SupportCore(
@@ -262,19 +262,18 @@ def atom_set_to_json(ats: AtomSet) -> dict:
     }
 
 
-def render_dot(t: Tree, dec: NullDecomposition | None = None, ats: AtomSet | None = None) -> str:
-    """Graphviz rendering with decomposition roles.
+def render_dot(t: Tree) -> str:
+    """Graphviz rendering with the roles of decompose(t) and atom_set(t).
 
     Supported vertices are filled, core vertices double-circled, nonsingular
     parts sit in dotted clusters, connection edges are dashed, and bond edges
-    (when an atom set is given) are bold.
+    are bold.
     """
-    if dec is None:
-        dec = decompose(t)
+    dec = decompose(t)
     supp = set(dec.support)
     core = set(dec.core)
     conn = set(dec.connection_edges)
-    bonds = set(ats.bond_edges) if ats is not None else set()
+    bonds = set(atom_set(t).bond_edges)
     lines = ["graph tree {", "  node [shape=circle];"]
     clustered = set()
     for i, part in enumerate(dec.nonsingular_parts):

@@ -420,6 +420,8 @@ def full_support_vector(vectors: Sequence[VertexVector]) -> VertexVector:
 
 # -- brute-force oracle ---------------------------------------------------
 
+BRUTE_LIMIT = 16  # largest order brute_force accepts
+
 
 def _masks(t: Tree) -> tuple[list[int], list[int]]:
     """Bitmasks over positions in t.vertices: each vertex's neighbours, and
@@ -505,7 +507,7 @@ class OracleReport:
         return tuple(sorted(_unmask(verts, m) for m in best))
 
 
-def brute_force(t: Tree, limit: int = 16) -> OracleReport:
+def brute_force(t: Tree) -> OracleReport:
     """Exhaustive enumeration of extremal structures; refuses big inputs.
 
     Two branchings, each pruned only when a branch cannot reach the best
@@ -518,8 +520,8 @@ def brute_force(t: Tree, limit: int = 16) -> OracleReport:
     a DP or linear algebra.
     """
     n = t.order
-    if n > limit:
-        raise TooLarge(f"{n} vertices exceeds the brute-force limit {limit}")
+    if n > BRUTE_LIMIT:
+        raise TooLarge(f"{n} vertices exceeds the brute-force limit {BRUTE_LIMIT}")
     nbr, ends = _masks(t)
     full = (1 << n) - 1
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FormulaMismatch
+from .errors import FormulaMismatch, VertexNotFound
 from .identities import require
-from .tree import Tree, components, per_tree
+from .tree import Tree, per_tree
 
 
 def _postorder(adj: dict[int, tuple[int, ...]], root: int) -> tuple[list[int], dict[int, int]]:
@@ -102,11 +102,13 @@ def matching_number_and_count(t: Tree) -> tuple[int, int]:
 
 def matching_number_within(t: Tree, keep: Iterable[int]) -> int:
     """Matching number of the induced subgraph on `keep` (a forest)."""
-    return sum(_matching_dp(c)[0] for c in components(t.adj, keep))
+    return sum(_matching_dp(c)[0] for c in t.components_within(keep))
 
 
 def matching_number_excluding(t: Tree, v: int) -> int:
     """Matching number after deleting one vertex."""
+    if v not in t:
+        raise VertexNotFound(f"vertex {v} not in tree")
     return matching_number_within(t, (u for u in t.vertices if u != v))
 
 

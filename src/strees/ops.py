@@ -3,11 +3,13 @@
 stellare(t, ks) hangs ks[i] >= 2 fresh pendant vertices on the i-th vertex of
 t (sorted order) and maps each vertex of t to its pendants; the result is
 always a support tree whose core is V(t) and whose support is the pendants.
+stellare_bases takes its range basis, and proof, from the tree's range family.
 
 s_coalescence identifies one supported vertex of each part into a single
 fresh star vertex. split_at_support inverts it: splitting a support tree at
 an internal supported vertex v yields one part per neighbor, each carrying a
-fresh copy of v. split_fully cuts every internal supported vertex at once.
+fresh copy of v. split_fully cuts every internal supported vertex; both
+splits are the same one-pass cut, at one vertex or at all of them.
 
 stellare_invariants, coalescence_invariants, split_at_support and
 split_fully check their closed forms as rows of one identity table
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import exact, matching
+from .bases import _range_family
 from .decomposition import classify, support_core
 from .errors import (
     BadArity,
@@ -31,7 +34,7 @@ from .errors import (
     NotSupported,
     SpanMismatch,
 )
-from .identities import require
+from .identities import Row, require
 from .tree import Edge, Tree, VertexVector, components
 
 
@@ -135,12 +138,13 @@ class StellareBases:
 def stellare_bases(t: Tree, ks: Sequence[int]) -> StellareBases:
     """Closed-form null and range bases of the stellare, verified exactly.
 
-    Null space: for each base vertex, first pendant minus each later pendant.
-    Range: for each base vertex v, the unit vector e_v and the indicator of
-    v's pendants. Each family is proven a basis by count (the rank is 2*nu),
-    membership and independence by peeling, with no elimination. A pendant
-    indicator x is in the column space since x - A e_v vanishes on the
-    D-set, the pendants; a failure raises SpanMismatch.
+    Null space: for each base vertex, first pendant minus each later pendant,
+    proven a basis with no elimination: each vector solves the kernel
+    equations, there are order - 2*nu of them, and they peel. Range: the
+    stellare is a support tree with core V(t) and support the pendants, so
+    the tree's own range family, proven by count, membership and peeling,
+    is for each base vertex v in order the unit vector e_v and the
+    indicator of v's pendants. A failure raises SpanMismatch.
     """
     res = stellare(t, ks)
     big = res.tree
@@ -150,28 +154,17 @@ def stellare_bases(t: Tree, ks: Sequence[int]) -> StellareBases:
         ps = res.pendants_of(v)
         for other in ps[1:]:
             null_vecs.append(VertexVector(dom, {ps[0]: 1, other: -1}))
-    range_vecs: list[VertexVector] = []
-    preimages: list[int | None] = []
-    for v in t.vertices:
-        range_vecs.append(VertexVector.unit(dom, v))
-        range_vecs.append(VertexVector.indicator(dom, res.pendants_of(v)))
-        preimages += [None, v]
     for x in null_vecs:
         if not exact.in_adjacency_kernel(big, x):
             raise SpanMismatch("null vector fails the kernel equations")
-    d, nu = matching.deficient_set(big)
-    deficient = set(d)
-    for x, y in zip(range_vecs, preimages):
-        if not exact.in_column_space_by_witness(big, deficient, x, y):
-            raise SpanMismatch("range vector leaves the column space")
-    for vecs, dim in ((null_vecs, big.order - 2 * nu), (range_vecs, 2 * nu)):
-        if len(vecs) != dim:
-            raise SpanMismatch(f"{len(vecs)} vectors for a space of dimension {dim}")
-        exact.peel_independent(vecs)
+    nullity = big.order - 2 * matching.deficient_set(big)[1]
+    if len(null_vecs) != nullity:
+        raise SpanMismatch(f"{len(null_vecs)} vectors for a space of dimension {nullity}")
+    exact.peel_independent(null_vecs)
     return StellareBases(
         tree=big,
         null_vectors=tuple(null_vecs),
-        range_vectors=tuple(range_vecs),
+        range_vectors=tuple(x for x, _ in _range_family(big)),
     )
 
 
@@ -310,45 +303,11 @@ def internal_support(t: Tree) -> tuple[int, ...]:
     return tuple(v for v in sc.support if t.degree(v) > 1)
 
 
-def split_at_support(s: Tree, v: int) -> tuple[tuple[Tree, int], ...]:
-    """Split a support tree at an internal supported vertex.
-
-    One part per neighbor u of v: the subtree on u's side plus a fresh copy
-    of v attached to u. Returns (part, fresh copy) pairs; coalescing the
-    parts at their fresh copies recovers s up to relabeling.
+def _cut(s: Tree, cuts: Sequence[int]) -> tuple[list[Tree], tuple[Row, Row]]:
+    """Cut s at every vertex of cuts: each neighbour u of a cut v gets a fresh
+    leaf copy of v, numbered upward from max(V(s)) in (v, ascending u) order.
+    Returns the pieces, sorted by least vertex, and the rows they must meet.
     """
-    cls = classify(s)
-    if not cls.is_support_tree:
-        raise NotSTree("can only split a support tree")
-    if v not in internal_support(s):
-        raise NotInternalSupport(f"vertex {v} is not internal support")
-    base = max(s.vertices) + 1
-    out: list[tuple[Tree, int]] = []
-    for i, u in enumerate(s.neighbors(v)):
-        side = s.subtree_toward(v, u)
-        fresh = base + i
-        part = Tree(list(side.edges()) + [(u, fresh)], vertices=side.vertices)
-        out.append((part, fresh))
-    require(
-        ("parts_are_support_trees", all(classify(p).is_support_tree for p, _ in out), True),
-        ("fresh_copies_supported", all(f in support_core(p).support for p, f in out), True),
-    )
-    return tuple(out)
-
-
-def split_fully(s: Tree) -> tuple[Tree, ...]:
-    """Split s at every internal supported vertex, in one pass.
-
-    A split at one internal supported vertex keeps every other vertex's
-    degree and role (the coalescence identities split_at_support checks), so
-    splitting at the smallest one left until none is left cuts exactly
-    internal_support(s). Here all are cut at once: each neighbour u of a cut
-    v gets a fresh leaf copy of v, numbered upward from max(V(s)) in
-    (v, ascending u) order. The pieces come sorted by least vertex.
-    """
-    if not classify(s).is_support_tree:
-        raise NotSTree("can only split a support tree")
-    cuts = internal_support(s)
     top = fresh = max(s.vertices)
     adj = dict(s.adj)
     copies: dict[int, list[int]] = {}
@@ -361,9 +320,43 @@ def split_fully(s: Tree) -> tuple[Tree, ...]:
         adj[u] += tuple(fs)  # above every old id, so the list stays sorted
     pieces = components(adj, set(adj).difference(cuts))
     supported = {v for p in pieces for v in support_core(p).support}
-    require(
+    return pieces, (
         ("parts_are_support_trees", all(classify(p).is_support_tree for p in pieces), True),
         ("fresh_copies_supported", supported.issuperset(range(top + 1, fresh + 1)), True),
+    )
+
+
+def split_at_support(s: Tree, v: int) -> tuple[tuple[Tree, int], ...]:
+    """Split a support tree at an internal supported vertex.
+
+    The cut at v alone: one part per neighbor u of v, the subtree on u's
+    side plus a fresh copy of v attached to u, the part's largest vertex.
+    Returns (part, fresh copy) pairs in ascending u order; coalescing the
+    parts at their fresh copies recovers s up to relabeling.
+    """
+    if not classify(s).is_support_tree:
+        raise NotSTree("can only split a support tree")
+    if v not in internal_support(s):
+        raise NotInternalSupport(f"vertex {v} is not internal support")
+    pieces, rows = _cut(s, (v,))
+    require(*rows)
+    return tuple(sorted(((p, p.vertices[-1]) for p in pieces), key=lambda pair: pair[1]))
+
+
+def split_fully(s: Tree) -> tuple[Tree, ...]:
+    """Split s at every internal supported vertex, in one pass.
+
+    A split at one internal supported vertex keeps every other vertex's
+    degree and role (the coalescence identities split_at_support checks), so
+    splitting at the smallest one left until none is left cuts exactly
+    internal_support(s). Here all are cut at once, and the pieces must hold
+    no internal supported vertex.
+    """
+    if not classify(s).is_support_tree:
+        raise NotSTree("can only split a support tree")
+    pieces, rows = _cut(s, internal_support(s))
+    require(
+        *rows,
         ("no_internal_support_left", all(not internal_support(p) for p in pieces), True),
     )
     return tuple(pieces)

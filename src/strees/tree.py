@@ -165,12 +165,17 @@ class Tree:
                     stack.append(w)
         return self.induced_subtree(keep)
 
-    def induced_subtree(self, keep: Iterable[int]) -> "Tree":
-        """Induced subgraph on `keep`, which must be connected."""
+    def _known(self, keep: Iterable[int]) -> set[int]:
+        """`keep` as a set, each of its vertices checked to be in the tree."""
         ks = set(keep)
         for v in ks:
             if v not in self.adj:
                 raise VertexNotFound(f"vertex {v} not in tree")
+        return ks
+
+    def induced_subtree(self, keep: Iterable[int]) -> "Tree":
+        """Induced subgraph on `keep`, which must be connected."""
+        ks = self._known(keep)
         verts = tuple(sorted(ks))
         adj = {v: tuple(w for w in self.adj[v] if w in ks) for v in verts}
         n_edges = sum(len(ws) for ws in adj.values()) // 2
@@ -180,7 +185,7 @@ class Tree:
 
     def components_within(self, keep: Iterable[int]) -> list["Tree"]:
         """Connected components of the induced subgraph, sorted by least vertex."""
-        return components(self.adj, keep)
+        return components(self.adj, self._known(keep))
 
 
 def components(adj: Mapping[int, Sequence[int]], keep: Iterable[int]) -> list[Tree]:

@@ -3,11 +3,11 @@
 check_tree starts from the rows of invariant_identities, the formulas that
 invariant_report requires, and adds its own: that decompose's nonsingular
 parts hold the vertices outside the closed support, the part and atom
-checks, the brute force up to BRUTE_LIMIT vertices, and the bases. Each row
-is (name, got, want), as in identities; a failed row's detail gives both
+checks, the brute force up to exact.BRUTE_LIMIT vertices and the bases. Each
+row is (name, got, want), as in identities; a failed row's detail gives both
 sides, and is formatted only for a failed row. Rank and nullity come from
-the rank elimination, exact.tree_rank, and the signed bases are checked by
-a certificate rather than by eliminating a second kernel. The null basis is
+the rank elimination, exact.tree_rank, and the signed bases are checked by a
+certificate rather than by eliminating a second kernel. The null basis is
 certified when every vector solves A x = 0, it has nullity vectors, and
 their rank is the nullity: it is then a basis of the kernel. The support
 read off a maximum matching must equal the union of that certified basis's
@@ -80,7 +80,6 @@ def _results(rows: Iterable[Row]) -> tuple[CheckResult, ...]:
     )
 
 
-BRUTE_LIMIT = 16  # largest order the brute-force rows run on
 MAX_FAILURES = 20  # failing trees a sweep keeps as witnesses
 
 
@@ -88,7 +87,7 @@ def check_tree(t: Tree) -> VerifyReport:
     """Evaluate every identity the library promises on one tree.
 
     The rows start with invariant_identities' and add the decomposition,
-    atom, basis and, up to BRUTE_LIMIT vertices, brute-force rows.
+    atom, basis and, up to exact.BRUTE_LIMIT vertices, brute-force rows.
     """
     report, rows = invariant_identities(t)
     rows = list(rows)
@@ -162,8 +161,8 @@ def check_tree(t: Tree) -> VerifyReport:
         ("basic_equivalence_all_or_nothing", equiv_ok, True),
     ]
 
-    if t.order <= BRUTE_LIMIT:
-        oracle = exact.brute_force(t, limit=BRUTE_LIMIT)
+    if t.order <= exact.BRUTE_LIMIT:
+        oracle = exact.brute_force(t)
         forbidden = set(dec.connection_edges) | set(ats.bond_edges)
         rows += [
             ("matching_number_brute", report.matching_number, oracle.matching_number),

@@ -184,8 +184,8 @@ class TestVerifyCommand:
 
         honest = exact.brute_force
 
-        def short(t, limit=16):
-            oracle = honest(t, limit)
+        def short(t):
+            oracle = honest(t)
             kept = oracle.maximum_matchings[1:] or oracle.maximum_matchings
             return dataclasses.replace(oracle, maximum_matchings=kept)
 

@@ -273,15 +273,14 @@ class TestInvariantReport:
 
 class TestDot:
     def test_roles_encoded(self, tree18, tree6):
-        dec = decompose(tree18)
-        dot = render_dot(tree18, dec, atom_set(tree18))
+        dot = render_dot(tree18)
         assert dot.startswith("graph tree {")
         assert "style=filled" in dot  # supported vertices
         assert "doublecircle" in dot  # core vertices
         assert "style=dotted" in dot and "cluster" in dot  # nonsingular parts
         assert "style=dashed" in dot  # connection edges
         assert dot.rstrip().endswith("}")
-        dot6 = render_dot(tree6, ats=atom_set(tree6))
+        dot6 = render_dot(tree6)
         assert "style=bold" in dot6  # the core-core bond edge
 
     def test_deterministic(self, tree18):

@@ -415,7 +415,6 @@ class TestBruteForce:
         big = path_tree(17)
         with pytest.raises(TooLarge):
             exact.brute_force(big)
-        assert exact.brute_force(big, limit=17).matching_number == 8
 
     @staticmethod
     def reference(t):

@@ -1,7 +1,7 @@
 import pytest
 
 from strees import exact, matching
-from strees.errors import FormulaMismatch
+from strees.errors import FormulaMismatch, VertexNotFound
 from strees.fixtures import path_tree, star_tree
 from strees.matching import (
     count_maximum_matchings,
@@ -149,6 +149,15 @@ class TestRestrictedMatching:
             assert matching_number_excluding(tree8, v) == 2
         # removing a core vertex always costs
         assert matching_number_excluding(tree8, 1) == 1
+
+    def test_within_rejects_unknown_vertex(self, tree18):
+        with pytest.raises(VertexNotFound):
+            matching_number_within(tree18, {13, 99})
+
+    def test_excluding_rejects_unknown_vertex(self, tree18):
+        # deleting a vertex the tree lacks would leave the whole tree, nu = 7
+        with pytest.raises(VertexNotFound):
+            matching_number_excluding(tree18, 99)
 
 
 class TestOtherInvariants:

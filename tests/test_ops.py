@@ -12,6 +12,7 @@ from strees.errors import (
     NotInternalSupport,
     NotSTree,
     NotSupported,
+    SpanMismatch,
 )
 from strees.fixtures import path_tree
 from strees.generators import random_s_tree, random_tree
@@ -27,7 +28,7 @@ from strees.ops import (
     stellare_bases,
     stellare_invariants,
 )
-from strees.tree import Tree
+from strees.tree import Tree, VertexVector
 from test_adversarial import stellare_chain
 
 
@@ -138,6 +139,24 @@ class TestStellareBases:
         assert exact.span_equal(
             list(sb.range_vectors), list(exact.column_space_vectors(big))
         )
+
+    def test_range_is_the_closed_form(self):
+        # per base vertex v in order: e_v, then the indicator of v's pendants
+        rng = random.Random(23)
+        for _ in range(200):
+            t = random_tree(rng.randrange(1, 30), seed=rng.randrange(2**31))
+            ks = [rng.randrange(2, 5) for _ in t.vertices]
+            res = stellare(t, ks)
+            dom = res.tree.vertices
+            want = []
+            for v in t.vertices:
+                want += [VertexVector.unit(dom, v), VertexVector.indicator(dom, res.pendants_of(v))]
+            assert stellare_bases(t, ks).range_vectors == tuple(want)
+
+    def test_range_membership_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(exact, "in_column_space_by_witness", lambda *args: False)
+        with pytest.raises(SpanMismatch):
+            stellare_bases(path_tree(3), [2, 3, 2])
 
 
 class TestCoalescence:
@@ -269,6 +288,29 @@ class TestSplit:
             split_trees += len(got) > 1
         assert split_trees == 853
 
+    def test_split_at_support_matches_the_reference(self):
+        splits = 0
+        for s in split_families():
+            for v in internal_support(s):
+                got = split_at_support(s, v)
+                want = split_at_one(s, v, max(s.vertices) + 1)
+                assert [(p.vertices, p.edges(), f) for p, f in got] == [
+                    (p.vertices, p.edges(), f) for p, f in want
+                ]
+                splits += 1
+        assert splits == 3047
+
+
+def split_at_one(s: Tree, v: int, base: int) -> tuple[tuple[Tree, int], ...]:
+    """Reference for split_at_support: per neighbour u of v in ascending
+    order, the subtree on u's side plus a fresh copy of v attached to u,
+    numbered upward from base."""
+    out = []
+    for i, u in enumerate(s.neighbors(v)):
+        side = s.subtree_toward(v, u)
+        out.append((Tree(list(side.edges()) + [(u, base + i)], vertices=side.vertices), base + i))
+    return tuple(out)
+
 
 def split_one_at_a_time(s: Tree) -> tuple[Tree, ...]:
     """Reference for split_fully: split the piece that holds the smallest
@@ -282,9 +324,7 @@ def split_one_at_a_time(s: Tree) -> tuple[Tree, ...]:
         v, i = min(candidates)
         part = work.pop(i)
         top = max(max(p.vertices) for p in work + [part])
-        for j, u in enumerate(part.neighbors(v)):
-            side = part.subtree_toward(v, u)
-            work.append(Tree(list(side.edges()) + [(u, top + 1 + j)], vertices=side.vertices))
+        work.extend(p for p, _ in split_at_one(part, v, top + 1))
 
 
 def split_families():

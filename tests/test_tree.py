@@ -87,6 +87,10 @@ class TestTreeQueries:
         comps = tree8.components_within({2, 3, 6, 7, 8})
         assert tuple(c.vertices for c in comps) == ((2,), (3,), (6, 7, 8))
 
+    def test_components_within_rejects_unknown_vertex(self, tree18):
+        with pytest.raises(VertexNotFound):
+            tree18.components_within({99})
+
 
 class TestVertexVector:
     def test_zero_entries_dropped(self):

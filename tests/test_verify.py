@@ -105,8 +105,8 @@ class TestCheckTree:
         # the brute force loses one of the path's two maximum matchings
         honest = exact.brute_force
 
-        def short(t, limit=16):
-            oracle = honest(t, limit)
+        def short(t):
+            oracle = honest(t)
             return dataclasses.replace(oracle, maximum_matchings=oracle.maximum_matchings[1:])
 
         monkeypatch.setattr(exact, "brute_force", short)
